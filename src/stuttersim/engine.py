@@ -341,43 +341,33 @@ class RefinementEngine:
     def find_refiner(self) -> tuple[int, int] | None:
         """First block pair (B, C) whose candidate sets still need work.
 
-        Scans target blocks in list order and, per target, predecessor
-        blocks in list order; the reverse topological block order
-        guarantees that every pair above the current one was already
-        cleared, which is what makes the two bottom-state conditions a
-        complete characterization.  Pairs cleared once are skipped via a
-        local matrix, including everything below a cleared target.
+        Scans target blocks in list order and, per target, the blocks
+        holding a predecessor of it in list order; the reverse
+        topological block order guarantees that every pair above the
+        current one was already cleared, which is what makes the two
+        bottom-state conditions a complete characterization.  Both
+        conditions are monotone down the preorder: ``rel[e][c]`` implies
+        ``image(e) ⊇ image(c)``, hence ``count[s][e] >= count[s][c]``
+        and ``bcount[d][e] >= bcount[d][c]``, and ``rel[c][x]`` implies
+        ``rel[e][x]``; a pair cleared for ``c`` is clear for every ``e``
+        below it, so no cleared pair needs remembering.  Per call the
+        cost is one pass over the predecessors of each target plus a
+        sort of the blocks that pass hits.
         """
         rel, count, bcount = self.rel, self.count, self.bcount
-        bo = self.block_of
-        not_refiner: set[tuple[int, int]] = set()
+        bo, pred = self.block_of, self.k.predecessors
+        rank = {b: i for i, b in enumerate(self.order)}
         for c in self.order:
-            marked: list[int] = []
-            for y in self.members(c):
-                for x in self.k.predecessors[y]:
-                    blk = self.blocks[bo[x]]
-                    if not blk.mark:
-                        blk.mark = True
-                        marked.append(blk.id)
-            if not marked:
-                continue
-            try:
-                for b in self.order:
-                    if not self.blocks[b].mark or (b, c) in not_refiner:
-                        continue
-                    if not rel[c][b]:
-                        for s in self.blocks[b].local_bottoms:
-                            if count[s][c] == 0:
-                                return (b, c)
-                    for d in self.blocks[b].bottom_blocks:
-                        if not rel[c][d] and bcount[d][c] == 0:
+            hit = {bo[x] for y in self.members(c) for x in pred[y]}
+            for b in sorted(hit, key=rank.__getitem__):
+                blk = self.blocks[b]
+                if not rel[c][b]:
+                    for s in blk.local_bottoms:
+                        if count[s][c] == 0:
                             return (b, c)
-                    for e in self.order:
-                        if rel[e][c]:
-                            not_refiner.add((b, e))
-            finally:
-                for bid in marked:
-                    self.blocks[bid].mark = False
+                for d in blk.bottom_blocks:
+                    if not rel[c][d] and bcount[d][c] == 0:
+                        return (b, c)
         return None
 
     # -- refinement steps ---------------------------------------------------

@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import random
 import re
-from typing import Iterable
 
 from .model import KripkeStructure, SimulationResult, ValidationError
 
@@ -161,10 +160,6 @@ def parse_relation(text: str, k: KripkeStructure) -> set[tuple[int, int]]:
             raise ParseError(f"dangling state id {v}", lineno, cols[1])
         pairs.add((u, v))
     return pairs
-
-
-def serialize_relation(pairs: Iterable[tuple[int, int]]) -> str:
-    return "\n".join(f"{u} {v}" for u, v in sorted(set(pairs))) + "\n"
 
 
 def generate_random_ks(

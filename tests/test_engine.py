@@ -315,6 +315,71 @@ def test_refiner_absent_iff_checker_accepts(seed):
         e.refine(splitter)
 
 
+def _first_refiner(e: RefinementEngine) -> tuple[int, int] | None:
+    """The refiner search by definition: every (B, C) pair, target-major,
+    that has a transition from B into C, tested against the two
+    bottom-state conditions with no marks and no skips."""
+    for c in e.order:
+        for b in e.order:
+            if not any(
+                e.block_of[y] == c for x in e.members(b) for y in e.k.successors[x]
+            ):
+                continue
+            blk = e.blocks[b]
+            if not e.rel[c][b] and any(e.count[s][c] == 0 for s in blk.local_bottoms):
+                return (b, c)
+            if any(not e.rel[c][d] and e.bcount[d][c] == 0 for d in blk.bottom_blocks):
+                return (b, c)
+    return None
+
+
+def _assert_search_matches_definition(e: RefinementEngine) -> None:
+    while True:
+        found = e.find_refiner()
+        assert found == _first_refiner(e)
+        if found is None:
+            return
+        splitter = e.pos_ordered(e.image(found[0]), e.image(found[1]))
+        e.splitting_procedure(splitter)
+        e.refine(splitter)
+
+
+@pytest.mark.parametrize("seed", range(30))
+def test_find_refiner_matches_definition(seed):
+    k = generate_random_ks(17_000 + seed, 4 + seed % 17, 0.25, 1 + seed % 3)
+    _assert_search_matches_definition(RefinementEngine(k))
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_find_refiner_matches_definition_from_candidate(seed):
+    # Only candidates whose block relation has a strict pair count: those
+    # are the pairs a skip below a cleared target would act on.
+    rng = random.Random(seed)
+    for attempt in range(50):
+        k = generate_random_ks(18_000 + 100 * seed + attempt, 10 + seed % 8, 0.1, 3)
+        blocks, pairs = _candidate_classes(k, random_preorder(rng, k))
+        if all(i == j for i, j in pairs):
+            continue
+        try:
+            e = RefinementEngine(k, (blocks, pairs))
+        except ValidationError:
+            continue  # candidate block order incompatible with the topology
+        break
+    else:
+        pytest.fail("no usable candidate with a strict pair")
+    _assert_search_matches_definition(e)
+
+
+def test_sparse_300_pins_refiner_sequence():
+    # A size the naive oracles cannot reach: any drift in which refiner
+    # pairs are chosen changes these counts.
+    k = generate_random_ks(7, 300, 2 / 300, 4)
+    result = compute_preorder(k)
+    stats = result.stats
+    assert (stats.iterations, stats.blocks_created, stats.final_blocks) == (410, 450, 229)
+    assert check_preorder(k, result.state_pairs()).accepted
+
+
 @pytest.mark.parametrize("seed", range(30))
 def test_result_preorder_shape(seed):
     k = generate_random_ks(16_000 + seed, 2 + seed % 8, 0.35, 1 + seed % 3)
@@ -363,11 +428,10 @@ def test_candidate_run_computes_largest_contained_simulation(f2):
     assert result.state_pairs() == expected
 
 
-@pytest.mark.parametrize("seed", range(40))
-def test_candidate_run_random(seed):
-    rng = random.Random(seed)
-    k = generate_random_ks(15_000 + seed, 2 + seed % 6, 0.3, 1 + seed % 3)
-    rel = random_preorder(rng, k)
+def _candidate_classes(
+    k: KripkeStructure, rel: set[tuple[int, int]]
+) -> tuple[list[list[int]], set[tuple[int, int]]]:
+    """The (blocks, block pairs) candidate form of a state preorder."""
     classes: list[list[int]] = []
     assigned: dict[int, int] = {}
     for s in k.states():
@@ -377,9 +441,15 @@ def test_candidate_run_random(seed):
         for t in members:
             assigned[t] = len(classes)
         classes.append(members)
-    pairs = {
-        (assigned[s], assigned[t]) for s, t in rel
-    }
+    return classes, {(assigned[s], assigned[t]) for s, t in rel}
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_candidate_run_random(seed):
+    rng = random.Random(seed)
+    k = generate_random_ks(15_000 + seed, 2 + seed % 6, 0.3, 1 + seed % 3)
+    rel = random_preorder(rng, k)
+    classes, pairs = _candidate_classes(k, rel)
     try:
         result = compute_preorder(k, (classes, pairs))
     except ValidationError:
