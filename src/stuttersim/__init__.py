@@ -15,11 +15,7 @@ from .model import (
     NotAPreorderError,
     SimulationResult,
     ValidationError,
-    block_exists_trans,
-    bottom_states,
-    candidate_set,
     labeling_partition,
-    pre_image,
     quotient,
 )
 from .preprocess import CollapseMap, collapse_inert_sccs
@@ -51,9 +47,6 @@ __all__ = [
     "RefinementEngine",
     "SimulationResult",
     "ValidationError",
-    "block_exists_trans",
-    "bottom_states",
-    "candidate_set",
     "check_definition",
     "check_preorder",
     "collapse_inert_sccs",
@@ -65,7 +58,6 @@ __all__ = [
     "parse_ks",
     "parse_relation",
     "pos_naive",
-    "pre_image",
     "quotient",
     "serialize_ks",
     "serialize_result",

@@ -14,6 +14,7 @@ from .model import (
     NotAPreorderError,
     ValidationError,
 )
+from .preprocess import strongly_connected_components
 from .reference import pos_naive
 
 
@@ -49,69 +50,28 @@ def _validate_relation(k: KripkeStructure, pairs: set[tuple[int, int]]) -> None:
 
 
 def _sink_components(
-    nodes: Sequence[int], inside: set[int], successors: Sequence[Sequence[int]]
+    nodes: Sequence[int], successors: Sequence[Sequence[int]]
 ) -> list[list[int]]:
-    """Sink SCCs of the subgraph induced by ``inside``.
+    """Sink SCCs of the subgraph induced by ``nodes``.
 
     Every path inside the subgraph eventually stays in a sink component,
     so a set reaches a target through the subgraph iff every sink
     component touches the target seeds.
     """
-    index: dict[int, int] = {}
-    low: dict[int, int] = {}
-    comp_of: dict[int, int] = {}
-    on_stack: set[int] = set()
-    stack: list[int] = []
-    comps: list[list[int]] = []
-    counter = 0
-    for root in nodes:
-        if root in index:
-            continue
-        work: list[tuple[int, int]] = [(root, 0)]
-        while work:
-            v, pi = work[-1]
-            if pi == 0:
-                index[v] = low[v] = counter
-                counter += 1
-                stack.append(v)
-                on_stack.add(v)
-            advanced = False
-            succ = successors[v]
-            while pi < len(succ):
-                w = succ[pi]
-                pi += 1
-                if w not in inside:
-                    continue
-                if w not in index:
-                    work[-1] = (v, pi)
-                    work.append((w, 0))
-                    advanced = True
-                    break
-                if w in on_stack:
-                    low[v] = min(low[v], index[w])
-            if advanced:
-                continue
-            work.pop()
-            if low[v] == index[v]:
-                comp = []
-                while True:
-                    w = stack.pop()
-                    on_stack.discard(w)
-                    comp.append(w)
-                    comp_of[w] = len(comps)
-                    if w == v:
-                        break
-                comp.sort()
-                comps.append(comp)
-            if work:
-                u, _ = work[-1]
-                low[u] = min(low[u], low[v])
+    inside = [0] * len(successors)
+    for v in nodes:
+        inside[v] = 1
+    comps = strongly_connected_components(successors, inside, nodes)
+    comp_of = [0] * len(successors)
+    for i, comp in enumerate(comps):
+        for v in comp:
+            comp_of[v] = i
     has_exit = [False] * len(comps)
     for v in nodes:
         for w in successors[v]:
-            if w in inside and comp_of[v] != comp_of[w]:
+            if inside[w] and comp_of[v] != comp_of[w]:
                 has_exit[comp_of[v]] = True
-    return [comps[i] for i in range(len(comps)) if not has_exit[i]]
+    return [comp for comp, exits in zip(comps, has_exit) if not exits]
 
 
 def check_preorder(
@@ -133,27 +93,25 @@ def check_preorder(
         if k.labels[s] != k.labels[t]:
             return CheckVerdict(False, label_witness=(s, t))
 
-    # Blocks of the symmetric reduction, ordered by least member.
-    block_of = [-1] * k.num_states
+    # Blocks of the symmetric reduction, ordered by least member: in a
+    # preorder two states are mutually related iff their up-sets agree.
+    up: list[list[int]] = [[] for _ in k.states()]
+    for s, t in rel_pairs:
+        up[s].append(t)
+    block_id: dict[frozenset[int], int] = {}
+    block_of = [0] * k.num_states
     blocks: list[list[int]] = []
     for s in k.states():
-        if block_of[s] != -1:
-            continue
-        members = [
-            t
-            for t in k.states()
-            if (s, t) in rel_pairs and (t, s) in rel_pairs
-        ]
-        bid = len(blocks)
-        for t in members:
-            block_of[t] = bid
-        blocks.append(members)
+        bid = block_id.setdefault(frozenset(up[s]), len(blocks))
+        if bid == len(blocks):
+            blocks.append([])
+        blocks[bid].append(s)
+        block_of[s] = bid
     m = len(blocks)
     rel = [bytearray(m) for _ in range(m)]
     for b in range(m):
-        for c in range(m):
-            if (blocks[b][0], blocks[c][0]) in rel_pairs:
-                rel[b][c] = 1
+        for t in up[blocks[b][0]]:
+            rel[b][block_of[t]] = 1
 
     count = [[0] * m for _ in range(k.num_states)]
     for y in k.states():
@@ -174,7 +132,7 @@ def check_preorder(
                 if rel[b][c]:
                     nodes.extend(blocks[c])
             nodes.sort()
-            sinks = _sink_components(nodes, set(nodes), k.successors)
+            sinks = _sink_components(nodes, k.successors)
             sink_cache[b] = sinks
         return sinks
 

@@ -22,6 +22,7 @@ from .model import (
     SimulationResult,
     ValidationError,
     labeling_partition,
+    validate_partition,
 )
 from .preprocess import (
     collapse_inert_sccs,
@@ -48,25 +49,7 @@ class _Block:
 def _validate_candidate(
     k: KripkeStructure, blocks: Sequence[Sequence[int]], pairs: set[tuple[int, int]]
 ) -> None:
-    seen = [False] * k.num_states
-    for i, members in enumerate(blocks):
-        if not members:
-            raise ValidationError(f"block {i} is empty")
-        lab = k.labels[members[0]]
-        for s in members:
-            if not 0 <= s < k.num_states:
-                raise ValidationError(f"state {s} out of range in block {i}")
-            if seen[s]:
-                raise ValidationError(f"state {s} occurs in two blocks")
-            seen[s] = True
-            if k.labels[s] != lab:
-                raise ValidationError(
-                    f"block {i} mixes labels; offending block members "
-                    f"{sorted(members)}"
-                )
-    if not all(seen):
-        missing = seen.index(False)
-        raise ValidationError(f"state {missing} belongs to no block")
+    validate_partition(k, blocks)
     m = len(blocks)
     for i, j in pairs:
         if not (0 <= i < m and 0 <= j < m):
@@ -193,15 +176,12 @@ class RefinementEngine:
             self.k, m, pairs0, cblock_of
         )
 
-        cap = 1
-        while cap < max(m, 1):
-            cap *= 2
-        self._cap = cap
-        self.rel: list[bytearray] = [bytearray(cap) for _ in range(m)]
+        # Square in the block ids; ``_new_block`` adds a column and a row.
+        self.rel: list[bytearray] = [bytearray(m) for _ in range(m)]
         for i, j in pairs0:
             self.rel[i][j] = 1
-        self.count: list[list[int]] = [[0] * cap for _ in range(n)]
-        self.bcount: list[list[int]] = [[0] * cap for _ in range(m)]
+        self.count: list[list[int]] = [[0] * m for _ in range(n)]
+        self.bcount: list[list[int]] = [[0] * m for _ in range(m)]
         self.mark1 = bytearray(n)
         self.mark2 = bytearray(n)
 
@@ -241,22 +221,18 @@ class RefinementEngine:
         blk = self.blocks[b]
         return self.state_list[blk.begin : blk.end]
 
-    def _grow_tables(self) -> None:
-        extra = self._cap
-        for row in self.rel:
-            row.extend(bytearray(extra))
-        for crow in self.count:
-            crow.extend([0] * extra)
-        for brow in self.bcount:
-            brow.extend([0] * extra)
-        self._cap *= 2
-
-    def _new_block(self, begin: int, end: int) -> int:
+    def _new_block(self, parent: int, begin: int, end: int) -> int:
+        """Allocate a block that starts as a copy of ``parent``: related
+        to and from what the parent is, with the parent's counters."""
         bid = len(self.blocks)
-        if bid >= self._cap:
-            self._grow_tables()
-        self.rel.append(bytearray(self._cap))
-        self.bcount.append([0] * self._cap)
+        for row in self.rel:
+            row.append(row[parent])
+        for crow in self.count:
+            crow.append(crow[parent])
+        for brow in self.bcount:
+            brow.append(brow[parent])
+        self.rel.append(bytearray(self.rel[parent]))
+        self.bcount.append(list(self.bcount[parent]))
         self.blocks.append(_Block(bid, begin, end))
         return bid
 
@@ -399,7 +375,7 @@ class RefinementEngine:
                 continue  # whole block inside the splitter: no split
             in_s = set(ss)
             ds = [x for x in self.state_list[blk.begin : blk.end] if x not in in_s]
-            nid = self._new_block(blk.begin, blk.begin + len(ss))
+            nid = self._new_block(p, blk.begin, blk.begin + len(ss))
             blk.intersection = nid
             newseq = ss + ds
             self.state_list[blk.begin : blk.end] = newseq
@@ -413,49 +389,27 @@ class RefinementEngine:
         return split_ids
 
     def splitting_procedure(self, s_list: Sequence[int]) -> None:
-        """Split w.r.t. ``s_list`` and duplicate relation rows/columns so
-        that every state's candidate set is unchanged, then repair the
-        counter tables and bottom bookkeeping."""
-        pre_order = list(self.order)
+        """Split w.r.t. ``s_list``, then repair the counter tables and
+        bottom bookkeeping.  Each new block starts with its parent's
+        relation row and column, so every state's candidate set is
+        unchanged."""
         split_ids = self.split(s_list)
         if not split_ids:
             return
-        for p in split_ids:
-            i = self.blocks[p].intersection
-            ri, rp = self.rel[i], self.rel[p]
-            for c in pre_order:
-                ri[c] = rp[c]
-        for p in split_ids:
-            i = self.blocks[p].intersection
-            for c in self.order:
-                self.rel[c][i] = self.rel[c][p]
         self.update(split_ids)
         for p in split_ids:
             self.blocks[p].intersection = None
         self.blocks_created += 2 * len(split_ids)
 
     def update(self, split_ids: Sequence[int]) -> None:
-        """Rebuild Count/BCount rows and the bottom bookkeeping after a
-        split.  Candidate sets are unchanged at this point, so the new
-        block's per-state counters are copies of its parent's and the
-        parent's block counters redistribute between the two parts."""
+        """Repair BCount rows and the bottom bookkeeping after a split.
+        Candidate sets are unchanged at this point, so the counters each
+        new block copied from its parent stay right, except the BCount
+        rows of the two parts: the parent's redistribute between them."""
         if not split_ids:
             return
-        n = self.k.num_states
         pairs = [(p, self.blocks[p].intersection) for p in split_ids]
         count, bcount = self.count, self.bcount
-        for p, i in pairs:
-            for x in range(n):
-                count[x][i] = count[x][p]
-        new_ids = {i for _, i in pairs}
-        old_rows = [b for b in self.order if b not in new_ids]
-        for p, i in pairs:
-            for r in old_rows:
-                bcount[r][i] = bcount[r][p]
-        for p, i in pairs:
-            bi, bp = bcount[i], bcount[p]
-            for c in self.order:
-                bi[c] = bp[c]
         for p, i in pairs:
             bi, bp = bcount[i], bcount[p]
             part = self.members(p)
@@ -573,18 +527,11 @@ class RefinementEngine:
         rel = self.rel
         # Mutually related distinct blocks (possible only for candidate
         # inputs) denote equivalent states: merge them into one class.
-        group_of: dict[int, int] = {}
-        groups: list[list[int]] = []
+        # In a preorder they are exactly the blocks with equal rows.
+        by_row: dict[bytes, list[int]] = {}
         for b in self.order:
-            if b in group_of:
-                continue
-            grp = [b]
-            group_of[b] = len(groups)
-            for c in self.order:
-                if c != b and c not in group_of and rel[b][c] and rel[c][b]:
-                    group_of[c] = len(groups)
-                    grp.append(c)
-            groups.append(grp)
+            by_row.setdefault(bytes(rel[b]), []).append(b)
+        groups = list(by_row.values())
         expanded: list[list[int]] = []
         for grp in groups:
             orig: list[int] = []

@@ -99,20 +99,6 @@ class KripkeStructure:
         )
 
 
-def pre_image(k: KripkeStructure, targets: Iterable[int]) -> set[int]:
-    """States with at least one transition into ``targets``."""
-    out: set[int] = set()
-    for t in targets:
-        out.update(k.predecessors[t])
-    return out
-
-
-def bottom_states(k: KripkeStructure, subset: Iterable[int]) -> set[int]:
-    """Members of ``subset`` with no transition back into ``subset``."""
-    s = set(subset)
-    return s - pre_image(k, s)
-
-
 def labeling_partition(k: KripkeStructure) -> list[list[int]]:
     """Partition of the states into maximal same-label classes.
 
@@ -124,31 +110,31 @@ def labeling_partition(k: KripkeStructure) -> list[list[int]]:
     return sorted(classes.values(), key=lambda c: c[0])
 
 
-def block_exists_trans(
-    k: KripkeStructure, src: Iterable[int], dst: Iterable[int]
-) -> bool:
-    """True iff some member of ``src`` has a transition into ``dst``."""
-    dst_set = set(dst)
-    return any(t in dst_set for s in src for t in k.successors[s])
-
-
-def candidate_set(
-    blocks: Sequence[Sequence[int]],
-    leq: Iterable[tuple[int, int]] | set[tuple[int, int]],
-    i: int,
-) -> set[int]:
-    """Union of all blocks that block ``i`` is related to.
-
-    ``leq`` holds pairs of block indices; reflexive pairs must be
-    included by the caller if intended.  For a state ``s`` in block
-    ``i`` this is the current set of candidate simulators of ``s``.
+def validate_partition(
+    k: KripkeStructure, blocks: Sequence[Sequence[int]]
+) -> list[int]:
+    """Index of each state's block; raises ValidationError unless
+    ``blocks`` are non-empty, label-consistent and partition the states.
     """
-    pairs = leq if isinstance(leq, set) else set(leq)
-    out: set[int] = set()
-    for j in range(len(blocks)):
-        if (i, j) in pairs:
-            out.update(blocks[j])
-    return out
+    block_of = [-1] * k.num_states
+    for i, members in enumerate(blocks):
+        if not members:
+            raise ValidationError(f"block {i} is empty")
+        for s in members:
+            if not 0 <= s < k.num_states:
+                raise ValidationError(f"state {s} out of range in block {i}")
+            if block_of[s] != -1:
+                raise ValidationError(f"state {s} occurs in two blocks")
+            block_of[s] = i
+            if k.labels[s] != k.labels[members[0]]:
+                raise ValidationError(
+                    f"block {i} mixes labels; offending block members "
+                    f"{sorted(members)}"
+                )
+    if -1 in block_of:
+        missing = block_of.index(-1)
+        raise ValidationError(f"state {missing} belongs to no block")
+    return block_of
 
 
 def quotient(
@@ -160,24 +146,13 @@ def quotient(
     is an edge between distinct blocks iff some member steps into the
     other block, and a self-loop iff a block has an internal transition.
     """
+    block_of = validate_partition(k, blocks)
     order = sorted(range(len(blocks)), key=lambda i: min(blocks[i]))
-    block_of: dict[int, int] = {}
-    labels: list[frozenset[str]] = []
+    rank = [0] * len(blocks)
     for q, i in enumerate(order):
-        members = blocks[i]
-        lab = k.labels[members[0]]
-        for s in members:
-            if k.labels[s] != lab:
-                raise ValidationError(
-                    f"block {sorted(members)} is not label-consistent"
-                )
-            if s in block_of:
-                raise ValidationError(f"state {s} occurs in two blocks")
-            block_of[s] = q
-        labels.append(lab)
-    if len(block_of) != k.num_states:
-        raise ValidationError("blocks do not cover the state set")
-    edges = {(block_of[s], block_of[t]) for s, t in k.transitions}
+        rank[i] = q
+    labels = [k.labels[blocks[i][0]] for i in order]
+    edges = {(rank[block_of[s]], rank[block_of[t]]) for s, t in k.transitions}
     return KripkeStructure(len(order), sorted(edges), labels)
 
 

@@ -1,4 +1,4 @@
-"""Structural preprocessing: inert-SCC collapse and list orderings.
+"""Structural preprocessing: SCCs, inert-SCC collapse and list orderings.
 
 The refinement engine requires a structure with no inert strongly
 connected components, a state list that is topologically ordered inside
@@ -9,7 +9,7 @@ block preorder.  Everything here is a pure function.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, Iterable, Sequence
 
 from .model import KripkeStructure, ValidationError
 
@@ -21,29 +21,26 @@ class CollapseMap:
     representative: list[int]
     members: list[list[int]]
 
-    @classmethod
-    def identity(cls, n: int) -> "CollapseMap":
-        return cls(list(range(n)), [[s] for s in range(n)])
 
-    def is_identity(self) -> bool:
-        return all(len(m) == 1 for m in self.members)
+def strongly_connected_components(
+    successors: Sequence[Sequence[int]],
+    group: Sequence[int],
+    roots: Iterable[int],
+) -> list[list[int]]:
+    """SCCs of the subgraph of edges whose two ends share a group.
 
-
-def _inert_sccs(k: KripkeStructure, block_of: Sequence[int]) -> list[list[int]]:
-    """SCCs of the subgraph of transitions that stay inside one block.
-
-    Iterative Tarjan; components are returned with sorted members, in a
-    deterministic order.  A singleton with no inert self-loop is still
-    reported (as its own trivial component).
+    Iterative Tarjan, searching from each root in turn and following
+    successors in list order; components come out in completion order,
+    members sorted.  A node reached from no root is left out, and a node
+    with no edge inside its group is its own trivial component.
     """
-    n = k.num_states
-    index = [-1] * n
-    low = [0] * n
-    on_stack = bytearray(n)
+    index = [-1] * len(successors)
+    low = [0] * len(successors)
+    on_stack = bytearray(len(successors))
     stack: list[int] = []
     sccs: list[list[int]] = []
     counter = 0
-    for root in range(n):
+    for root in roots:
         if index[root] != -1:
             continue
         work: list[tuple[int, int]] = [(root, 0)]
@@ -55,11 +52,11 @@ def _inert_sccs(k: KripkeStructure, block_of: Sequence[int]) -> list[list[int]]:
                 stack.append(v)
                 on_stack[v] = 1
             advanced = False
-            succ = k.successors[v]
+            succ = successors[v]
             while pi < len(succ):
                 w = succ[pi]
                 pi += 1
-                if block_of[w] != block_of[v]:
+                if group[w] != group[v]:
                     continue
                 if index[w] == -1:
                     work[-1] = (v, pi)
@@ -97,7 +94,9 @@ def collapse_inert_sccs(
     member); transitions are the existential lift with every resulting
     inert self-loop removed, so the output has no inert SCC at all.
     """
-    sccs = _inert_sccs(k, block_of)
+    sccs = strongly_connected_components(
+        k.successors, block_of, range(k.num_states)
+    )
     sccs.sort(key=lambda c: c[0])
     representative = [0] * k.num_states
     members: list[list[int]] = []
@@ -169,70 +168,6 @@ def is_locally_topological(k: KripkeStructure, order: Sequence[int]) -> bool:
         for s, t in k.transitions
         if k.labels[s] == k.labels[t]
     )
-
-
-def sort_blocks_reverse_topological(
-    block_ids: Sequence[int], related: Callable[[int, int], bool]
-) -> list[int]:
-    """Order blocks so a strictly related block follows its superiors.
-
-    If ``b`` is related to ``c`` but not conversely, ``c`` precedes
-    ``b``.  Mutually related groups stay together (ordered by id) and
-    incomparable groups keep the input order of their least-index
-    member, so the identity relation returns the input order unchanged.
-    """
-    ids = list(block_ids)
-    index = {b: i for i, b in enumerate(ids)}
-    # Mutual groups; with a preorder these are its equivalence classes.
-    group_of: dict[int, int] = {}
-    groups: list[list[int]] = []
-    for b in ids:
-        if b in group_of:
-            continue
-        grp = [b]
-        group_of[b] = len(groups)
-        for c in ids:
-            if c != b and c not in group_of and related(b, c) and related(c, b):
-                group_of[c] = len(groups)
-                grp.append(c)
-        groups.append(sorted(grp))
-    succ_count = [0] * len(groups)
-    preds: list[set[int]] = [set() for _ in groups]
-    for b in ids:
-        for c in ids:
-            gb, gc = group_of[b], group_of[c]
-            if gb != gc and related(b, c) and gc not in preds[gb]:
-                # b below c: group gc must be emitted before gb
-                preds[gb].add(gc)
-    for gb in range(len(groups)):
-        succ_count[gb] = len(preds[gb])
-    emitted = [False] * len(groups)
-    out: list[int] = []
-    remaining = len(groups)
-    dependants: list[list[int]] = [[] for _ in groups]
-    for gb in range(len(groups)):
-        for gc in preds[gb]:
-            dependants[gc].append(gb)
-    ready = sorted(
-        (g for g in range(len(groups)) if succ_count[g] == 0),
-        key=lambda g: index[groups[g][0]],
-    )
-    while ready:
-        g = ready.pop(0)
-        emitted[g] = True
-        remaining -= 1
-        out.extend(groups[g])
-        fresh = []
-        for gd in dependants[g]:
-            succ_count[gd] -= 1
-            if succ_count[gd] == 0:
-                fresh.append(gd)
-        if fresh:
-            ready.extend(fresh)
-            ready.sort(key=lambda g2: index[groups[g2][0]])
-    if remaining:
-        raise ValidationError("block relation is cyclic across mutual groups")
-    return out
 
 
 def is_reverse_topological(

@@ -56,3 +56,29 @@ def transitive_closure(pairs: set[tuple[int, int]]) -> set[tuple[int, int]]:
                     closed.add((a, c))
                     changed = True
     return closed
+
+
+def reachable(
+    successors: list[list[int]], group: list[int], v: int
+) -> set[int]:
+    """Nodes reachable from ``v`` along edges inside ``v``'s group."""
+    seen = {v}
+    todo = [v]
+    while todo:
+        x = todo.pop()
+        for y in successors[x]:
+            if group[y] == group[x] and y not in seen:
+                seen.add(y)
+                todo.append(y)
+    return seen
+
+
+def random_graph(rng: random.Random) -> tuple[int, list[list[int]], list[int]]:
+    """Up to 12 nodes with up to 4 sorted successors each, in two groups."""
+    n = rng.randrange(1, 13)
+    successors = [
+        sorted(rng.sample(range(n), rng.randrange(0, min(n, 4) + 1)))
+        for _ in range(n)
+    ]
+    group = [rng.randrange(2) for _ in range(n)]
+    return n, successors, group

@@ -12,10 +12,10 @@ from stuttersim import (
     generate_random_ks,
     naive_stuttering_simulation,
 )
-from stuttersim.checker import find_definition_violation
+from stuttersim.checker import _sink_components, find_definition_violation
 from stuttersim.reference import largest_simulation_within
 
-from conftest import random_preorder, transitive_closure
+from conftest import random_graph, random_preorder, reachable, transitive_closure
 
 
 def test_accepts_computed_preorder(f2):
@@ -94,6 +94,25 @@ def test_rejects_cycle_trapped_candidate():
     b, c, state = verdict.refiner_witness
     assert set(b) == {2} and set(c) == {3} and state in (0, 1)
     assert not check_definition(k, rel)
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_sink_components_are_closed_sccs(seed):
+    rng = random.Random(seed)
+    n, successors, _ = random_graph(rng)
+    nodes = sorted(rng.sample(range(n), rng.randrange(1, n + 1)))
+    inside = [int(v in nodes) for v in range(n)]
+    reach = {v: reachable(successors, inside, v) for v in nodes}
+    # a sink component is an SCC that nothing inside leads out of
+    expected = {
+        frozenset(reach[v])
+        for v in nodes
+        if all(v in reach[w] for w in reach[v])
+    }
+    sinks = _sink_components(nodes, successors)
+    assert {frozenset(c) for c in sinks} == expected
+    assert len(sinks) == len(expected)
+    assert all(c == sorted(c) for c in sinks)
 
 
 @pytest.mark.parametrize("seed", range(120))

@@ -13,6 +13,7 @@ from stuttersim import (
     labeling_partition,
     naive_stuttering_simulation,
     pos_naive,
+    quotient,
 )
 from stuttersim.reference import largest_simulation_within
 
@@ -81,6 +82,12 @@ def test_initialize_rejects_label_violations(f2):
     pairs = [(i, i) for i in range(3)] + [(0, 2)]
     with pytest.raises(ValidationError, match="offending block"):
         RefinementEngine(f2, ([[0, 3], [1, 4], [2]], pairs))
+
+
+def test_initialize_rejects_out_of_range_first_member():
+    k = KripkeStructure(3, [], [["a"]] * 3)
+    with pytest.raises(ValidationError, match="out of range"):
+        RefinementEngine(k, ([[5, 0], [1], [2]], [(i, i) for i in range(3)]))
 
 
 def test_initialize_rejects_order_incompatible_candidate():
@@ -455,3 +462,47 @@ def test_candidate_run_random(seed):
     except ValidationError:
         return  # candidate block order incompatible with the topology
     assert result.state_pairs() == largest_simulation_within(k, rel)
+
+
+# -- metamorphic relations ------------------------------------------------
+
+
+@pytest.mark.parametrize("seed", range(100))
+def test_renumbering_states_renumbers_result(seed):
+    rng = random.Random(seed)
+    k = generate_random_ks(19_000 + seed, 2 + seed % 24, 0.2, 1 + seed % 3)
+    perm = list(range(k.num_states))
+    rng.shuffle(perm)
+    labels = [None] * k.num_states
+    for s in k.states():
+        labels[perm[s]] = k.labels[s]
+    renamed = KripkeStructure(
+        k.num_states, [(perm[s], perm[t]) for s, t in k.transitions], labels
+    )
+    result = compute_preorder(k)
+    result2 = compute_preorder(renamed)
+    assert result2.blocks == sorted(
+        sorted(perm[s] for s in blk) for blk in result.blocks
+    )
+    assert result2.state_pairs() == {
+        (perm[x], perm[y]) for x, y in result.state_pairs()
+    }
+
+
+@pytest.mark.parametrize("seed", range(100))
+def test_quotient_result_is_discrete(seed):
+    k = generate_random_ks(20_000 + seed, 2 + seed % 24, 0.2, 1 + seed % 3)
+    q = quotient(k, compute_preorder(k).blocks)
+    assert compute_preorder(q).blocks == [[s] for s in q.states()]
+
+
+@pytest.mark.parametrize("seed", range(100))
+def test_candidate_result_within_candidate(seed):
+    rng = random.Random(seed)
+    k = generate_random_ks(21_000 + seed, 2 + seed % 24, 0.2, 1 + seed % 3)
+    rel = random_preorder(rng, k)
+    try:
+        result = compute_preorder(k, _candidate_classes(k, rel))
+    except ValidationError:
+        return  # candidate block order incompatible with the topology
+    assert result.state_pairs() <= rel

@@ -2,23 +2,11 @@ import pytest
 
 from stuttersim import (
     KripkeStructure,
+    RefinementEngine,
     ValidationError,
-    block_exists_trans,
-    bottom_states,
-    candidate_set,
     labeling_partition,
-    pre_image,
     quotient,
 )
-
-
-def test_pre_image_empty(f1):
-    assert pre_image(f1, set()) == set()
-
-
-def test_pre_image_f1(f1):
-    assert pre_image(f1, {3, 4}) == {0, 2}
-    assert pre_image(f1, {2}) == {1}
 
 
 def test_construction_rejects_bad_transition():
@@ -42,60 +30,75 @@ def test_labeling_partition(f1, f2):
 
 
 def test_block_exists_trans(f2):
-    assert block_exists_trans(f2, [0, 3], [2])
-    assert not block_exists_trans(f2, [2], [0, 3])
+    # quotient edges are the existential transitions between blocks;
+    # ids follow least members: {0,3}=0, {1,4}=1, {2}=2
+    q = quotient(f2, labeling_partition(f2))
+    assert (0, 2) in q.transitions
     # state 2 has no outgoing transitions, so its block reaches nothing
-    for blk in labeling_partition(f2):
-        assert not block_exists_trans(f2, [2], blk)
-
-
-def test_candidate_set_identity(f1):
-    blocks = labeling_partition(f1)
-    ident = {(i, i) for i in range(len(blocks))}
-    assert candidate_set(blocks, ident, 0) == {0, 1, 2}
+    assert not any(s == 2 for s, _ in q.transitions)
 
 
 P4_BLOCKS = [[0, 1], [2, 3], [4, 5], [6, 7], [8, 9]]
 P4_PAIRS = {(i, i) for i in range(5)} | {(0, 1), (0, 3), (2, 3), (4, 3)}
 
 
+def p4_engine() -> RefinementEngine:
+    """Candidate block ids are the indices into ``P4_BLOCKS``."""
+    k = KripkeStructure(10, [], [["a"]] * 10)
+    return RefinementEngine(k, (P4_BLOCKS, P4_PAIRS))
+
+
+def test_candidate_set_identity(f1):
+    e = RefinementEngine(f1)
+    assert set(e.image(e.block_of[0])) == {0, 1, 2}
+
+
 def test_candidate_set_worked_pair():
-    assert candidate_set(P4_BLOCKS, P4_PAIRS, 0) == {0, 1, 2, 3, 6, 7}
-    assert candidate_set(P4_BLOCKS, P4_PAIRS, 2) == {4, 5, 6, 7}
+    e = p4_engine()
+    assert set(e.image(0)) == {0, 1, 2, 3, 6, 7}
+    assert set(e.image(2)) == {4, 5, 6, 7}
 
 
 def test_candidate_set_contains_own_block_and_antitone():
-    # reflexivity gives B <= candidate_set(B); with a preorder, a related
-    # block has a smaller candidate set
+    # reflexivity gives B <= candidate set of B; with a preorder, a
+    # related block has a smaller candidate set
+    e = p4_engine()
     for i in range(len(P4_BLOCKS)):
-        cs = candidate_set(P4_BLOCKS, P4_PAIRS, i)
-        assert set(P4_BLOCKS[i]) <= cs
+        assert set(P4_BLOCKS[i]) <= set(e.image(i))
     for i, j in P4_PAIRS:
-        assert candidate_set(P4_BLOCKS, P4_PAIRS, j) <= candidate_set(
-            P4_BLOCKS, P4_PAIRS, i
-        )
+        assert set(e.image(j)) <= set(e.image(i))
 
 
 def test_candidate_set_is_union_of_blocks():
+    e = p4_engine()
     for i in range(len(P4_BLOCKS)):
-        cs = candidate_set(P4_BLOCKS, P4_PAIRS, i)
+        cs = set(e.image(i))
         for blk in P4_BLOCKS:
             overlap = cs & set(blk)
             assert not overlap or overlap == set(blk)
 
 
+def local_bottoms(k: KripkeStructure, state: int) -> set[int]:
+    """Bottom states the engine records for the label class of ``state``
+    (the structures used here have no inert cycle to collapse)."""
+    e = RefinementEngine(k)
+    return set(e.blocks[e.block_of[state]].local_bottoms)
+
+
 def test_bottom_states(f1, f2):
     k = KripkeStructure(3, [], [["a"], ["a"], ["a"]])
-    assert bottom_states(k, {0, 1, 2}) == {0, 1, 2}
-    assert bottom_states(f1, {0, 1, 2}) == {0, 2}
-    assert bottom_states(f2, {0, 3}) == {0, 3}
+    assert local_bottoms(k, 0) == {0, 1, 2}
+    assert local_bottoms(f1, 0) == {0, 2}
+    assert local_bottoms(f2, 0) == {0, 3}
 
 
-def test_bottom_disjoint_from_pre(f1):
-    for subset in ({0, 1, 2}, {3, 4}, {1, 2, 3}, set(range(5))):
-        bot = bottom_states(f1, subset)
-        assert bot <= subset
-        assert not bot & pre_image(f1, subset)
+def test_bottom_disjoint_from_pre(f1, f2):
+    for e in (RefinementEngine(f1), RefinementEngine(f2), p4_engine()):
+        for b in e.order:
+            bot = set(e.blocks[b].local_bottoms)
+            pre = {x for y in e.image(b) for x in e.k.predecessors[y]}
+            assert bot <= set(e.members(b))
+            assert not bot & pre
 
 
 def test_quotient_f1(f1):
@@ -121,3 +124,21 @@ def test_quotient_f2(f2):
 def test_quotient_rejects_label_inconsistent(f2):
     with pytest.raises(ValidationError):
         quotient(f2, [[0, 1], [2], [3], [4]])
+
+
+def test_quotient_rejects_negative_state():
+    k = KripkeStructure(3, [], [["p"]] * 3)
+    with pytest.raises(ValidationError, match="out of range"):
+        quotient(k, [[0], [1], [-1]])
+
+
+def test_quotient_rejects_out_of_range_state():
+    k = KripkeStructure(3, [], [["p"]] * 3)
+    with pytest.raises(ValidationError, match="out of range"):
+        quotient(k, [[0, 1], [7]])
+
+
+def test_quotient_rejects_empty_block():
+    k = KripkeStructure(3, [], [["p"]] * 3)
+    with pytest.raises(ValidationError, match="empty"):
+        quotient(k, [[0, 1, 2], []])

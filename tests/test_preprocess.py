@@ -10,12 +10,15 @@ from stuttersim import (
     labeling_partition,
     naive_stuttering_simulation,
 )
+from stuttersim.engine import _combined_block_order
 from stuttersim.preprocess import (
     is_locally_topological,
     is_reverse_topological,
-    sort_blocks_reverse_topological,
     sort_states_locally_topological,
+    strongly_connected_components,
 )
+
+from conftest import random_graph, reachable
 
 
 def block_of(k):
@@ -46,7 +49,7 @@ def test_collapse_two_cycle():
 def test_collapse_acyclic_identity(f1):
     collapsed, cmap = collapse_inert_sccs(f1, block_of(f1))
     assert collapsed == f1
-    assert cmap.is_identity()
+    assert cmap.members == [[s] for s in range(f1.num_states)]
 
 
 @pytest.mark.parametrize("seed", range(40))
@@ -54,7 +57,7 @@ def test_collapse_leaves_no_inert_cycles(seed):
     k = generate_random_ks(seed, 2 + seed % 8, 0.4, 1 + seed % 3)
     collapsed, _ = collapse_inert_sccs(k, block_of(k))
     again, cmap2 = collapse_inert_sccs(collapsed, block_of(collapsed))
-    assert cmap2.is_identity()
+    assert cmap2.members == [[s] for s in range(collapsed.num_states)]
     assert all(s != t or collapsed.labels[s] != collapsed.labels[t]
                for s, t in collapsed.transitions)
 
@@ -111,16 +114,43 @@ def test_sort_states_random_property(seed):
         assert span == list(range(span[0], span[0] + len(span)))
 
 
+@pytest.mark.parametrize("seed", range(40))
+def test_scc_matches_mutual_reachability(seed):
+    rng = random.Random(seed)
+    n, successors, group = random_graph(rng)
+    roots = sorted(rng.sample(range(n), rng.randrange(1, n + 1)))
+    comps = strongly_connected_components(successors, group, roots)
+    reach = [reachable(successors, group, v) for v in range(n)]
+    covered = set().union(*(reach[r] for r in roots))
+    expected = {
+        frozenset(w for w in reach[v] if v in reach[w]) for v in covered
+    }
+    assert {frozenset(c) for c in comps} == expected
+    assert all(c == sorted(c) for c in comps)
+    assert sum(map(len, comps)) == len(covered)
+    # Tarjan completes a component after every component it reaches.
+    done = {v: i for i, c in enumerate(comps) for v in c}
+    for v in covered:
+        for w in successors[v]:
+            if group[w] == group[v]:
+                assert done[w] <= done[v]
+
+
+def sort_blocks(pairs, m):
+    """Engine block order for a preorder on m one-state, same-label
+    blocks with no transitions."""
+    k = KripkeStructure(m, [], [["a"]] * m)
+    return _combined_block_order(k, m, pairs, list(range(m)))
+
+
 def test_sort_blocks_identity_keeps_input_order():
-    ids = [3, 1, 2]
-    order = sort_blocks_reverse_topological(ids, lambda b, c: b == c)
-    assert order == ids
+    assert sort_blocks({(i, i) for i in range(3)}, 3) == [0, 1, 2]
 
 
 def test_sort_blocks_worked_pair():
     # block indices: 0=[0,1], 1=[2,3], 2=[4,5], 3=[6,7], 4=[8,9]
     pairs = {(i, i) for i in range(5)} | {(0, 1), (0, 3), (2, 3), (4, 3)}
-    order = sort_blocks_reverse_topological(list(range(5)), lambda b, c: (b, c) in pairs)
+    order = sort_blocks(pairs, 5)
     pos = {b: i for i, b in enumerate(order)}
     assert pos[1] < pos[0] and pos[3] < pos[0]
     assert pos[3] < pos[2] and pos[3] < pos[4]
@@ -129,10 +159,21 @@ def test_sort_blocks_worked_pair():
 
 def test_sort_blocks_mutual_pair_either_order():
     pairs = {(0, 0), (1, 1), (0, 1), (1, 0)}
-    order = sort_blocks_reverse_topological([0, 1], lambda b, c: (b, c) in pairs)
+    order = sort_blocks(pairs, 2)
     assert sorted(order) == [0, 1]
     assert is_reverse_topological(order, lambda b, c: (b, c) in pairs)
     assert is_reverse_topological(list(reversed(order)), lambda b, c: (b, c) in pairs)
+
+
+def test_is_reverse_topological_cases():
+    below = {(0, 0), (1, 1), (2, 2), (0, 1), (1, 2), (0, 2)}  # 0 < 1 < 2
+    related = lambda b, c: (b, c) in below
+    assert is_reverse_topological([2, 1, 0], related)
+    assert not is_reverse_topological([0, 1, 2], related)
+    assert not is_reverse_topological([2, 0, 1], related)  # 0 before 1
+    assert not is_reverse_topological([1, 2, 0], related)  # 1 before 2
+    assert is_reverse_topological([], related)
+    assert is_reverse_topological([1, 0, 2], lambda b, c: b == c)
 
 
 @pytest.mark.parametrize("seed", range(40))
@@ -153,6 +194,10 @@ def test_sort_blocks_random_acyclic(seed):
                 if b == c and (a, d) not in pairs:
                     pairs.add((a, d))
                     changed = True
-    order = sort_blocks_reverse_topological(list(range(m)), lambda b, c: (b, c) in pairs)
+    order = sort_blocks(pairs, m)
+    related = lambda b, c: (b, c) in pairs
     assert sorted(order) == list(range(m))
-    assert is_reverse_topological(order, lambda b, c: (b, c) in pairs)
+    assert is_reverse_topological(order, related)
+    # reversed, the order breaks the predicate iff some pair is strict
+    strict = any(i != j for i, j in pairs)
+    assert is_reverse_topological(order[::-1], related) == (not strict)
