@@ -2,6 +2,9 @@
 
 Two routes: a one-pass block-level check for preorders (the fast path)
 and a direct definitional check for arbitrary relations (its oracle).
+The fast path takes its blocks, the preorder's classes, and each
+block's up-set from ``model.validate_preorder``, which also checks that
+the relation is a preorder.
 """
 
 from __future__ import annotations
@@ -9,11 +12,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .model import (
-    KripkeStructure,
-    NotAPreorderError,
-    ValidationError,
-)
+from .model import KripkeStructure, ValidationError
+from .model import validate_preorder as _validate_relation
 from .preprocess import strongly_connected_components
 from .reference import pos_naive
 
@@ -31,22 +31,6 @@ class CheckVerdict:
     accepted: bool
     label_witness: tuple[int, int] | None = None
     refiner_witness: tuple[tuple[int, ...], tuple[int, ...], int] | None = None
-
-
-def _validate_relation(k: KripkeStructure, pairs: set[tuple[int, int]]) -> None:
-    for s, t in pairs:
-        if not (0 <= s < k.num_states and 0 <= t < k.num_states):
-            raise ValidationError(f"relation pair ({s}, {t}) out of range")
-    for s in k.states():
-        if (s, s) not in pairs:
-            raise NotAPreorderError("relation is not reflexive", (s, s))
-    succ: dict[int, list[int]] = {}
-    for s, t in pairs:
-        succ.setdefault(s, []).append(t)
-    for s, t in pairs:
-        for u in succ.get(t, ()):
-            if (s, u) not in pairs:
-                raise NotAPreorderError("relation is not transitive", (s, u))
 
 
 def _sink_components(
@@ -79,79 +63,31 @@ def check_preorder(
 ) -> CheckVerdict:
     """One-pass check that a preorder is a stuttering simulation.
 
-    Builds the block partition from the symmetric reduction and decides
-    absence of refiner pairs via bottom components: a pair (B, C) with a
+    The blocks are the classes of the preorder.  A pair (B, C) with a
     transition from B into C is left unrefined iff every sink component
-    of B's candidate set touches C's candidate set or its pre-image.
-    The relation must be reflexive and transitive (NotAPreorderError
+    of B's candidate set μ(B) touches μ(C) or its pre-image, that is,
+    one of its members or one of their successors lies in μ(C).  The
+    relation must be reflexive and transitive (NotAPreorderError
     otherwise); a related pair with different labels is rejected
     immediately.
     """
     rel_pairs = set(pairs)
-    _validate_relation(k, rel_pairs)
+    blocks, block_of, mu = _validate_relation(k.num_states, rel_pairs)
     for s, t in sorted(rel_pairs):
         if k.labels[s] != k.labels[t]:
             return CheckVerdict(False, label_witness=(s, t))
 
-    # Blocks of the symmetric reduction, ordered by least member: in a
-    # preorder two states are mutually related iff their up-sets agree.
-    up: list[list[int]] = [[] for _ in k.states()]
-    for s, t in rel_pairs:
-        up[s].append(t)
-    block_id: dict[frozenset[int], int] = {}
-    block_of = [0] * k.num_states
-    blocks: list[list[int]] = []
-    for s in k.states():
-        bid = block_id.setdefault(frozenset(up[s]), len(blocks))
-        if bid == len(blocks):
-            blocks.append([])
-        blocks[bid].append(s)
-        block_of[s] = bid
-    m = len(blocks)
-    rel = [bytearray(m) for _ in range(m)]
-    for b in range(m):
-        for t in up[blocks[b][0]]:
-            rel[b][block_of[t]] = 1
-
-    count = [[0] * m for _ in range(k.num_states)]
-    for y in k.states():
-        by = block_of[y]
-        for x in k.predecessors[y]:
-            crow = count[x]
-            for c in range(m):
-                if rel[c][by]:
-                    crow[c] += 1
-
+    succ = k.successors
     sink_cache: dict[int, list[list[int]]] = {}
-
-    def sink_components_of(b: int) -> list[list[int]]:
-        sinks = sink_cache.get(b)
-        if sinks is None:
-            nodes: list[int] = []
-            for c in range(m):
-                if rel[b][c]:
-                    nodes.extend(blocks[c])
-            nodes.sort()
-            sinks = _sink_components(nodes, k.successors)
-            sink_cache[b] = sinks
-        return sinks
-
-    cleared: set[tuple[int, int]] = set()
-    for c in range(m):
-        preds: list[int] = []
-        seen = bytearray(m)
-        for y in blocks[c]:
-            for x in k.predecessors[y]:
-                bx = block_of[x]
-                if not seen[bx]:
-                    seen[bx] = 1
-                    preds.append(bx)
-        preds.sort()
+    for c, mu_c in enumerate(mu):
+        preds = sorted({block_of[x] for y in blocks[c] for x in k.predecessors[y]})
         for b in preds:
-            if (b, c) in cleared:
-                continue
-            for comp in sink_components_of(b):
-                if not any(rel[c][block_of[q]] or count[q][c] for q in comp):
+            if b not in sink_cache:
+                sink_cache[b] = _sink_components(sorted(mu[b]), succ)
+            for comp in sink_cache[b]:
+                if not any(
+                    q in mu_c or any(y in mu_c for y in succ[q]) for q in comp
+                ):
                     return CheckVerdict(
                         False,
                         refiner_witness=(
@@ -160,9 +96,6 @@ def check_preorder(
                             comp[0],
                         ),
                     )
-            for e in range(m):
-                if rel[e][c]:
-                    cleared.add((b, e))
     return CheckVerdict(True)
 
 

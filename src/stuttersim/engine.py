@@ -17,12 +17,12 @@ from typing import Callable, Iterable, Sequence
 
 from .model import (
     KripkeStructure,
-    NotAPreorderError,
     RunStats,
     SimulationResult,
     ValidationError,
     labeling_partition,
     validate_partition,
+    validate_preorder,
 )
 from .preprocess import (
     collapse_inert_sccs,
@@ -37,38 +37,34 @@ TraceHook = Callable[[int, tuple[int, int], int, int], None]
 
 @dataclass
 class _Block:
-    id: int
     begin: int
     end: int
     intersection: int | None = None
     local_bottoms: list[int] = field(default_factory=list)
     bottom_blocks: list[int] = field(default_factory=list)
-    mark: bool = False
 
 
 def _validate_candidate(
-    k: KripkeStructure, blocks: Sequence[Sequence[int]], pairs: set[tuple[int, int]]
-) -> None:
+    k: KripkeStructure,
+    blocks: Sequence[Sequence[int]],
+    pairs: Iterable[tuple[int, int]],
+) -> tuple[list[list[int]], set[tuple[int, int]]]:
+    """The candidate with each class of mutually related blocks merged
+    into one block, so that its block relation is antisymmetric."""
     validate_partition(k, blocks)
-    m = len(blocks)
-    for i, j in pairs:
-        if not (0 <= i < m and 0 <= j < m):
-            raise ValidationError(f"relation pair ({i}, {j}) out of range")
-    for i in range(m):
-        if (i, i) not in pairs:
-            raise NotAPreorderError("block relation is not reflexive", (i, i))
-    for i, j in pairs:
-        for w in range(m):
-            if (j, w) in pairs and (i, w) not in pairs:
-                raise NotAPreorderError(
-                    "block relation is not transitive", (i, w)
+    classes, class_of, ups = validate_preorder(len(blocks), pairs)
+    merged_pairs: set[tuple[int, int]] = set()
+    for c, above in enumerate(ups):
+        label = k.labels[blocks[classes[c][0]][0]]
+        for j in above:
+            if k.labels[blocks[j][0]] != label:
+                raise ValidationError(
+                    f"related blocks differ in label; offending block "
+                    f"{sorted(blocks[j])}"
                 )
-    for i, j in pairs:
-        if i != j and k.labels[blocks[i][0]] != k.labels[blocks[j][0]]:
-            raise ValidationError(
-                f"related blocks differ in label; offending block "
-                f"{sorted(blocks[i])}"
-            )
+            merged_pairs.add((c, class_of[j]))
+    merged = [[s for i in members for s in blocks[i]] for members in classes]
+    return merged, merged_pairs
 
 
 def _combined_block_order(
@@ -79,17 +75,18 @@ def _combined_block_order(
 ) -> list[int]:
     """Block list order satisfying both ordering invariants at once.
 
-    A block strictly below another must follow it (refiner search), and
+    A block below another must follow it (refiner search), and
     the source block of a same-label cross-block transition must precede
     the target block (one-pass reachability over the aligned state
-    list).  Both families are necessary, so a constraint cycle means no
+    list).  ``pairs`` must be antisymmetric, as a merged candidate's
+    are.  Both families are necessary, so a constraint cycle means no
     valid configuration exists and the candidate relation is rejected.
     The default input induces no constraints and keeps the input order.
     """
     succs: list[set[int]] = [set() for _ in range(m)]  # emitted-before sets
     for i, j in pairs:
-        if i != j and (j, i) not in pairs:
-            succs[j].add(i)  # i strictly below j: j first
+        if i != j:
+            succs[j].add(i)  # i below j: j first
     for s, t in k.transitions:
         bs, bt = block_of[s], block_of[t]
         if bs != bt and k.labels[s] == k.labels[t]:
@@ -129,8 +126,11 @@ class RefinementEngine:
 
     ``candidate`` optionally supplies a coarser starting point as
     ``(blocks, block_pairs)``; the pairs must form a preorder whose
-    related blocks agree on labels.  With a candidate the result is the
-    largest stuttering simulation contained in the induced relation.
+    related blocks agree on labels.  Mutually related blocks are merged
+    into one, so the block relation is antisymmetric from the start and
+    stays so at every main-loop boundary.  With a candidate the result
+    is the largest stuttering simulation contained in the induced
+    relation.
     """
 
     def __init__(
@@ -145,9 +145,7 @@ class RefinementEngine:
             blocks0: list[list[int]] = labeling_partition(k)
             pairs0 = {(i, i) for i in range(len(blocks0))}
         else:
-            blocks0 = [list(b) for b in candidate[0]]
-            pairs0 = set(candidate[1])
-            _validate_candidate(k, blocks0, pairs0)
+            blocks0, pairs0 = _validate_candidate(k, candidate[0], candidate[1])
 
         block_of0 = [0] * k.num_states
         for i, members in enumerate(blocks0):
@@ -156,8 +154,8 @@ class RefinementEngine:
         self.k, self.collapse = collapse_inert_sccs(k, block_of0)
         n = self.k.num_states
 
-        # Block ids 0..m-1 are the candidate block indices; identifiers
-        # allocated later by splits are never reused.
+        # Block ids 0..m-1 are the (merged) candidate block indices;
+        # identifiers allocated later by splits are never reused.
         coll_members: list[list[int]] = []
         for members in blocks0:
             coll_members.append(sorted({self.collapse.representative[s] for s in members}))
@@ -188,7 +186,7 @@ class RefinementEngine:
         self.state_list: list[int] = []
         self.position = [0] * n
         self.block_of = [0] * n
-        self.blocks: list[_Block] = [_Block(b, 0, 0) for b in range(m)]
+        self.blocks: list[_Block] = [_Block(0, 0) for _ in range(m)]
         for b in self.order:
             members = sorted(coll_members[b], key=lambda s: tspos[s])
             begin = len(self.state_list)
@@ -233,7 +231,7 @@ class RefinementEngine:
             brow.append(brow[parent])
         self.rel.append(bytearray(self.rel[parent]))
         self.bcount.append(list(self.bcount[parent]))
-        self.blocks.append(_Block(bid, begin, end))
+        self.blocks.append(_Block(begin, end))
         return bid
 
     def _init_counters(self) -> None:
@@ -462,19 +460,14 @@ class RefinementEngine:
         bottom states (in their own block's list when they sit in the
         pruned block itself, otherwise in its bottom-block list)."""
         bo = self.block_of
-        splitter_blocks: list[int] = []
-        for x in s_list:
-            blk = self.blocks[bo[x]]
-            if not blk.mark:
-                blk.mark = True
-                splitter_blocks.append(blk.id)
+        splitter_blocks = dict.fromkeys(bo[x] for x in s_list)
         count, bcount = self.count, self.bcount
         pred = self.k.predecessors
         for b in splitter_blocks:
             row = self.rel[b]
             blk_b = self.blocks[b]
             for c in self.order:
-                if not row[c] or self.blocks[c].mark:
+                if not row[c] or c in splitter_blocks:
                     continue
                 row[c] = 0
                 removed = self.members(c)
@@ -495,8 +488,6 @@ class RefinementEngine:
                                 blk_b.local_bottoms.append(x)
                         elif row[bx] and bx not in bb:
                             bb.append(bx)
-        for b in splitter_blocks:
-            self.blocks[b].mark = False
 
     # -- main loop ----------------------------------------------------------
 
@@ -524,29 +515,21 @@ class RefinementEngine:
         return self._build_result()
 
     def _build_result(self) -> SimulationResult:
-        rel = self.rel
-        # Mutually related distinct blocks (possible only for candidate
-        # inputs) denote equivalent states: merge them into one class.
-        # In a preorder they are exactly the blocks with equal rows.
-        by_row: dict[bytes, list[int]] = {}
-        for b in self.order:
-            by_row.setdefault(bytes(rel[b]), []).append(b)
-        groups = list(by_row.values())
-        expanded: list[list[int]] = []
-        for grp in groups:
-            orig: list[int] = []
-            for b in grp:
-                for s in self.members(b):
-                    orig.extend(self.collapse.members[s])
-            expanded.append(sorted(orig))
-        canon = sorted(range(len(groups)), key=lambda g: expanded[g][0])
+        # The relation is antisymmetric, so each block is one class.
+        rel, order = self.rel, self.order
+        expanded = [
+            sorted(s0 for s in self.members(b) for s0 in self.collapse.members[s])
+            for b in order
+        ]
+        canon = sorted(range(len(order)), key=lambda g: expanded[g][0])
         rank = {g: i for i, g in enumerate(canon)}
         blocks = [expanded[g] for g in canon]
-        preorder = set()
-        for gi, grp in enumerate(groups):
-            for gj in range(len(groups)):
-                if rel[grp[0]][groups[gj][0]]:
-                    preorder.add((rank[gi], rank[gj]))
+        preorder = {
+            (rank[gi], rank[gj])
+            for gi, b in enumerate(order)
+            for gj, c in enumerate(order)
+            if rel[b][c]
+        }
         block_of = [0] * self.original.num_states
         for i, members in enumerate(blocks):
             for s in members:
@@ -602,7 +585,6 @@ class RefinementEngine:
         pos = 0
         for b in order:
             blk = self.blocks[b]
-            assert not blk.mark, "block mark leaked"
             assert blk.intersection is None, "intersection field leaked"
             assert blk.begin == pos and blk.end > blk.begin, "blocks misaligned"
             pos = blk.end
@@ -615,6 +597,7 @@ class RefinementEngine:
                 if not rel[b][c]:
                     continue
                 if b != c:
+                    assert not rel[c][b], "relation lost antisymmetry"
                     assert (
                         self.k.labels[self.members(b)[0]]
                         == self.k.labels[self.members(c)[0]]

@@ -7,6 +7,7 @@ atomic-proposition names; label equality is set equality.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Iterable, Sequence
 
 
@@ -70,12 +71,9 @@ class KripkeStructure:
         self.predecessors: list[list[int]] = pred
         self.transitions: list[tuple[int, int]] = sorted(seen)
 
-    @property
+    @cached_property
     def atoms(self) -> frozenset[str]:
-        out: set[str] = set()
-        for lab in self.labels:
-            out |= lab
-        return frozenset(out)
+        return frozenset().union(*self.labels)
 
     def states(self) -> range:
         return range(self.num_states)
@@ -135,6 +133,49 @@ def validate_partition(
         missing = block_of.index(-1)
         raise ValidationError(f"state {missing} belongs to no block")
     return block_of
+
+
+def validate_preorder(
+    size: int, pairs: Iterable[tuple[int, int]]
+) -> tuple[list[list[int]], list[int], list[frozenset[int]]]:
+    """Classes of a preorder on ``range(size)``.
+
+    Returns the classes (elements with equal up-sets, ordered by least
+    member, members ascending), each element's class and each class's
+    up-set.  Raises ValidationError for a pair out of range and
+    NotAPreorderError, with the lexicographically least witness, when
+    the pairs are not reflexive and transitive.  Transitivity is checked
+    once per class: the up-sets of the classes that ``up(c)`` meets must
+    lie inside ``up(c)``.
+    """
+    up: list[set[int]] = [set() for _ in range(size)]
+    for s, t in pairs:
+        if not (0 <= s < size and 0 <= t < size):
+            raise ValidationError(f"relation pair ({s}, {t}) out of range")
+        up[s].add(t)
+    for s in range(size):
+        if s not in up[s]:
+            raise NotAPreorderError("relation is not reflexive", (s, s))
+    class_id: dict[frozenset[int], int] = {}
+    class_of = [0] * size
+    classes: list[list[int]] = []
+    ups: list[frozenset[int]] = []
+    for s in range(size):
+        key = frozenset(up[s])
+        c = class_id.setdefault(key, len(classes))
+        if c == len(classes):
+            classes.append([])
+            ups.append(key)
+        classes[c].append(s)
+        class_of[s] = c
+    for c, above in enumerate(ups):
+        met = {class_of[t] for t in above}
+        if not all(ups[d] <= above for d in met):
+            beyond = frozenset().union(*(ups[d] for d in met)) - above
+            raise NotAPreorderError(
+                "relation is not transitive", (classes[c][0], min(beyond))
+            )
+    return classes, class_of, ups
 
 
 def quotient(

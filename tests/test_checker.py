@@ -62,6 +62,37 @@ def test_not_a_preorder_errors():
     assert exc.value.witness == (0, 2)
 
 
+def _least_witness(n: int, rel: set[tuple[int, int]]) -> tuple[int, int] | None:
+    """The least missing ``(s, s)``, else the least ``(s, u)`` with
+    ``(s, t)`` and ``(t, u)`` in ``rel`` but not ``(s, u)``."""
+    for s in range(n):
+        if (s, s) not in rel:
+            return (s, s)
+    return min(
+        ((s, u) for s, t in rel for t2, u in rel if t == t2 and (s, u) not in rel),
+        default=None,
+    )
+
+
+@pytest.mark.parametrize("seed", range(300))
+def test_not_a_preorder_witness_is_least(seed):
+    rng = random.Random(seed)
+    n = 2 + seed % 7
+    k = KripkeStructure(n, [], [["p"]] * n)
+    rel = {(s, t) for s in range(n) for t in range(n) if rng.random() < (0.9 if s == t else 0.3)}
+    expected = _least_witness(n, rel)
+    if expected is None:
+        assert check_preorder(k, rel).accepted
+        return
+    with pytest.raises(NotAPreorderError) as exc:
+        check_preorder(k, rel)
+    assert exc.value.witness == expected
+    # the same relation as a candidate's block pairs over one-state blocks
+    with pytest.raises(NotAPreorderError) as exc:
+        compute_preorder(k, ([[s] for s in range(n)], rel))
+    assert exc.value.witness == expected
+
+
 def test_out_of_range_pair():
     k = KripkeStructure(2, [], [["p"], ["p"]])
     with pytest.raises(ValidationError):
@@ -151,3 +182,25 @@ def test_maximality(seed):
         augmented = transitive_closure(best | {pair})
         assert not check_definition(k, augmented)
         assert not check_preorder(k, augmented).accepted
+
+
+def test_rejects_augmented_preorder_at_scale():
+    # Criterion 4 where the definitional oracle cannot run: the computed
+    # preorder is the largest stuttering simulation, so adding any
+    # missing same-label pair and closing transitively must be rejected.
+    k = generate_random_ks(7, 300, 2 / 300, 4)
+    best = compute_preorder(k).state_pairs()
+    rng = random.Random(7)
+    missing = [
+        (a, b)
+        for a in k.states()
+        for b in k.states()
+        if k.labels[a] == k.labels[b] and (a, b) not in best
+    ]
+    for a, b in rng.sample(missing, 20):
+        # a preorder plus (a, b), closed: x <= a and b <= y give x <= y
+        below_a = [x for x, y in best if y == a]
+        above_b = [y for x, y in best if x == b]
+        augmented = best | {(x, y) for x in below_a for y in above_b}
+        verdict = check_preorder(k, augmented)
+        assert not verdict.accepted and verdict.refiner_witness is not None

@@ -464,6 +464,33 @@ def test_candidate_run_random(seed):
     assert result.state_pairs() == largest_simulation_within(k, rel)
 
 
+@pytest.mark.parametrize("seed", range(150))
+def test_candidate_with_mutually_related_blocks(seed):
+    # Each class split into two mutually related halves: the engine
+    # merges them back, so the run is the unsplit candidate's and the
+    # block order holds at every boundary.
+    k = generate_random_ks(seed, 7, 0.15, 3)
+    rel = random_preorder(random.Random(seed), k)
+    classes, pairs = _candidate_classes(k, rel)
+    blocks: list[list[int]] = []
+    ids: list[range] = []
+    for members in classes:
+        parts = [h for h in (members[::2], members[1::2]) if h]
+        ids.append(range(len(blocks), len(blocks) + len(parts)))
+        blocks.extend(parts)
+    split_pairs = {(a, b) for i, j in pairs for a in ids[i] for b in ids[j]}
+    try:
+        expected = compute_preorder(k, (classes, pairs))
+    except ValidationError:
+        # candidate block order incompatible with the topology
+        with pytest.raises(ValidationError):
+            compute_preorder(k, (blocks, split_pairs))
+        return
+    result = compute_preorder(k, (blocks, split_pairs), debug=True)
+    assert result.state_pairs() == largest_simulation_within(k, rel)
+    assert result == expected and result.stats == expected.stats
+
+
 # -- metamorphic relations ------------------------------------------------
 
 

@@ -1,12 +1,19 @@
+import random
+
 import pytest
 
 from stuttersim import (
     KripkeStructure,
+    NotAPreorderError,
     RefinementEngine,
     ValidationError,
+    generate_random_ks,
     labeling_partition,
     quotient,
 )
+from stuttersim.model import validate_preorder
+
+from conftest import random_preorder
 
 
 def test_construction_rejects_bad_transition():
@@ -142,3 +149,25 @@ def test_quotient_rejects_empty_block():
     k = KripkeStructure(3, [], [["p"]] * 3)
     with pytest.raises(ValidationError, match="empty"):
         quotient(k, [[0, 1, 2], []])
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_validate_preorder_groups_by_up_set(seed):
+    k = generate_random_ks(23_000 + seed, 1 + seed % 12, 0.2, 1 + seed % 3)
+    rel = random_preorder(random.Random(seed), k)
+    classes, class_of, ups = validate_preorder(k.num_states, rel)
+    up = [frozenset(t for t in k.states() if (s, t) in rel) for s in k.states()]
+    mutual = [[t for t in k.states() if (s, t) in rel and (t, s) in rel] for s in k.states()]
+    # disjoint sorted lists sort by least member
+    assert classes == sorted(map(list, {tuple(c) for c in mutual}))
+    for s in k.states():
+        assert classes[class_of[s]] == mutual[s]
+        assert ups[class_of[s]] == up[s]
+
+
+def test_validate_preorder_rejects_out_of_range_before_reflexivity():
+    with pytest.raises(ValidationError) as exc:
+        validate_preorder(2, [(0, 2)])
+    assert not isinstance(exc.value, NotAPreorderError)
+    with pytest.raises(ValidationError):
+        validate_preorder(2, [(-1, 0), (0, 0), (1, 1)])

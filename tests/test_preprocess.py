@@ -4,6 +4,7 @@ import pytest
 
 from stuttersim import (
     KripkeStructure,
+    RefinementEngine,
     ValidationError,
     collapse_inert_sccs,
     generate_random_ks,
@@ -157,12 +158,15 @@ def test_sort_blocks_worked_pair():
     assert is_reverse_topological(order, lambda b, c: (b, c) in pairs)
 
 
-def test_sort_blocks_mutual_pair_either_order():
+def test_sort_blocks_mutual_pair_is_one_block():
+    # Unmerged, a mutually related pair is an ordering cycle; the engine
+    # merges it into one block before ordering.
     pairs = {(0, 0), (1, 1), (0, 1), (1, 0)}
-    order = sort_blocks(pairs, 2)
-    assert sorted(order) == [0, 1]
-    assert is_reverse_topological(order, lambda b, c: (b, c) in pairs)
-    assert is_reverse_topological(list(reversed(order)), lambda b, c: (b, c) in pairs)
+    with pytest.raises(ValidationError, match="no valid list ordering"):
+        sort_blocks(pairs, 2)
+    k = KripkeStructure(2, [], [["a"]] * 2)
+    e = RefinementEngine(k, ([[0], [1]], pairs))
+    assert e.order == [0] and e.members(0) == [0, 1]
 
 
 def test_is_reverse_topological_cases():
