@@ -8,6 +8,7 @@ Output on stdout is deterministic for a fixed input file.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import sys
 
 from .checker import check_preorder, find_definition_violation
@@ -53,6 +54,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p_compute.add_argument(
         "--trace", action="store_true", help="per-iteration progress on stderr"
     )
+    p_compute.add_argument(
+        "--stats", action="store_true", help="the run's counters as JSON on stderr"
+    )
 
     p_check = sub.add_parser("check", help="check a relation on a model")
     p_check.add_argument("file", help="model file")
@@ -91,6 +95,10 @@ def _cmd_compute(args: argparse.Namespace) -> int:
             )
 
     result = compute_preorder(k, trace=trace)
+    if args.stats:
+        import json  # here, so that other runs do not pay for loading it
+
+        print(json.dumps(dataclasses.asdict(result.stats)), file=sys.stderr)
     if args.oracle:
         if result.state_pairs() != naive_stuttering_simulation(k):
             print("oracle cross-check failed", file=sys.stderr)

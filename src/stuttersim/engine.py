@@ -13,6 +13,8 @@ the refiner search correct.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import compress
+from operator import sub
 from typing import Callable, Iterable, Sequence
 
 from .model import (
@@ -29,6 +31,7 @@ from .preprocess import (
     is_locally_topological,
     is_reverse_topological,
     sort_states_locally_topological,
+    strongly_connected_components,
 )
 
 CandidatePR = tuple[Sequence[Sequence[int]], Iterable[tuple[int, int]]]
@@ -42,6 +45,8 @@ class _Block:
     intersection: int | None = None
     local_bottoms: list[int] = field(default_factory=list)
     bottom_blocks: list[int] = field(default_factory=list)
+    # The blocks whose ``bottom_blocks`` hold this one.
+    held_by: set[int] = field(default_factory=set)
 
 
 def _validate_candidate(
@@ -50,8 +55,13 @@ def _validate_candidate(
     pairs: Iterable[tuple[int, int]],
 ) -> tuple[list[list[int]], set[tuple[int, int]]]:
     """The candidate with each class of mutually related blocks merged
-    into one block, so that its block relation is antisymmetric."""
-    validate_partition(k, blocks)
+    into one block, so that its block relation is antisymmetric.
+
+    A same-label cycle must lie inside one merged block: the engine
+    collapses cycles within a block and orders the rest of the states
+    along same-label transitions.
+    """
+    block_of = validate_partition(k, blocks)
     classes, class_of, ups = validate_preorder(len(blocks), pairs)
     merged_pairs: set[tuple[int, int]] = set()
     for c, above in enumerate(ups):
@@ -64,6 +74,13 @@ def _validate_candidate(
                 )
             merged_pairs.add((c, class_of[j]))
     merged = [[s for i in members for s in blocks[i]] for members in classes]
+    for comp in strongly_connected_components(k.successors, k.labels, k.states()):
+        cut = sorted({class_of[block_of[s]] for s in comp})
+        if len(cut) > 1:
+            raise ValidationError(
+                f"candidate blocks {[sorted(merged[c]) for c in cut]} cut the "
+                f"same-label cycle through states {comp}"
+            )
     return merged, merged_pairs
 
 
@@ -182,6 +199,9 @@ class RefinementEngine:
         self.bcount: list[list[int]] = [[0] * m for _ in range(m)]
         self.mark1 = bytearray(n)
         self.mark2 = bytearray(n)
+        # Per block id: 0 from a scan of the target that found no pair
+        # until a write that could give it one (see ``find_refiner``).
+        self.dirty = bytearray(b"\x01" * m)
 
         self.state_list: list[int] = []
         self.position = [0] * n
@@ -207,6 +227,7 @@ class RefinementEngine:
         self._init_counters()
         self.iterations = 0
         self.blocks_created = 0
+        self.targets_visited = 0
         self.initial_blocks = m
         self._oracle_pairs: set[tuple[int, int]] | None = None
         # Containment oracle: the answer is the largest simulation inside
@@ -232,7 +253,15 @@ class RefinementEngine:
         self.rel.append(bytearray(self.rel[parent]))
         self.bcount.append(list(self.bcount[parent]))
         self.blocks.append(_Block(begin, end))
+        self.dirty.append(self.dirty[parent])
         return bid
+
+    def _mark_targets(self, b: int) -> None:
+        """Mark dirty every target that a member of ``b`` steps into."""
+        dirty, bo = self.dirty, self.block_of
+        for x in self.members(b):
+            for y in self.k.successors[x]:
+                dirty[bo[y]] = 1
 
     def _init_counters(self) -> None:
         count, bcount, rel = self.count, self.bcount, self.rel
@@ -257,15 +286,16 @@ class RefinementEngine:
                 and rel[b][c]
                 and any(count[x][b] == 0 for x in self.members(c))
             ]
+            for c in blk.bottom_blocks:
+                self.blocks[c].held_by.add(b)
 
     # -- queries ------------------------------------------------------------
 
     def image(self, b: int) -> list[int]:
         """Members of every block above ``b``, in state-list order."""
         out: list[int] = []
-        for c in self.order:
-            if self.rel[b][c]:
-                out.extend(self.members(c))
+        for c in compress(self.order, map(self.rel[b].__getitem__, self.order)):
+            out.extend(self.members(c))
         return out
 
     def pos_ordered(self, s_list: Sequence[int], t_list: Sequence[int]) -> list[int]:
@@ -319,22 +349,30 @@ class RefinementEngine:
         holding a predecessor of it in list order; the reverse
         topological block order guarantees that every pair above the
         current one was already cleared, which is what makes the two
-        bottom-state conditions a complete characterization.  Both
-        conditions are monotone down the preorder: ``rel[e][c]`` implies
-        ``image(e) ⊇ image(c)``, hence ``count[s][e] >= count[s][c]``
-        and ``bcount[d][e] >= bcount[d][c]``, and ``rel[c][x]`` implies
-        ``rel[e][x]``; a pair cleared for ``c`` is clear for every ``e``
-        below it, so no cleared pair needs remembering.  Per call the
-        cost is one pass over the predecessors of each target plus a
-        sort of the blocks that pass hits.
+        bottom-state conditions a complete characterization.
+
+        A target whose scan finds no pair is flagged clean and skipped
+        until a write can give it one; the returned target and those
+        after it keep their flags.  The writes that can are marked
+        where they happen: ``refine`` pruning the relation row of ``c``
+        (which also lowers its ``count`` and ``bcount`` columns),
+        ``update`` lowering a ``bcount[d][c]`` to zero, and a block's
+        bottom lists gaining an entry other than its split sibling,
+        which marks every target the block steps into.  A split itself
+        keeps every candidate set: a new block takes its parent's flag,
+        and a block that now steps into a target did so before inside
+        its parent, with the parent's bottom states.  So a call costs
+        one flag test per block plus, per dirty target, one pass over
+        its predecessors and a sort of the blocks that pass hits.
         """
-        rel, count, bcount = self.rel, self.count, self.bcount
-        bo, pred = self.block_of, self.k.predecessors
-        rank = {b: i for i, b in enumerate(self.order)}
-        for c in self.order:
+        rel, count, bcount, dirty = self.rel, self.count, self.bcount, self.dirty
+        bo, pred, blocks = self.block_of, self.k.predecessors, self.blocks
+        for c in compress(self.order, map(dirty.__getitem__, self.order)):
+            self.targets_visited += 1
             hit = {bo[x] for y in self.members(c) for x in pred[y]}
-            for b in sorted(hit, key=rank.__getitem__):
-                blk = self.blocks[b]
+            # blocks lie in list order along the state list
+            for b in sorted(hit, key=lambda b: blocks[b].begin):
+                blk = blocks[b]
                 if not rel[c][b]:
                     for s in blk.local_bottoms:
                         if count[s][c] == 0:
@@ -342,6 +380,7 @@ class RefinementEngine:
                 for d in blk.bottom_blocks:
                     if not rel[c][d] and bcount[d][c] == 0:
                         return (b, c)
+            dirty[c] = 0
         return None
 
     # -- refinement steps ---------------------------------------------------
@@ -403,54 +442,67 @@ class RefinementEngine:
         """Repair BCount rows and the bottom bookkeeping after a split.
         Candidate sets are unchanged at this point, so the counters each
         new block copied from its parent stay right, except the BCount
-        rows of the two parts: the parent's redistribute between them."""
+        rows of the two parts: the parent's redistribute between them.
+        Work is proportional to the smaller part's rows and to the
+        blocks whose bottom-block lists hold a split parent."""
         if not split_ids:
             return
         pairs = [(p, self.blocks[p].intersection) for p in split_ids]
-        count, bcount = self.count, self.bcount
+        count, bcount, dirty, blocks = self.count, self.bcount, self.dirty, self.blocks
         for p, i in pairs:
-            bi, bp = bcount[i], bcount[p]
-            part = self.members(p)
-            for c in self.order:
-                d = 0
-                for x in part:
-                    d += count[x][c]
-                bp[c] = d
-                bi[c] -= d
+            blk_i, blk_p = blocks[i], blocks[p]
+            if blk_i.end - blk_i.begin <= blk_p.end - blk_p.begin:
+                small, large = i, p
+            else:
+                small, large = p, i
+            # The parent's row is the sum of the two parts' rows.
+            part = list(map(sum, zip(*[count[x] for x in self.members(small)])))
+            bcount[large] = list(map(sub, bcount[p], part))
+            bcount[small] = part
+            # Row p changed where row i is nonzero; where it fell to zero
+            # the target may now have a pair through p.
+            kept = bcount[p]
+            for c in compress(range(len(kept)), bcount[i]):
+                if not kept[c]:
+                    dirty[c] = 1
         # Bottom states of the (unchanged) candidate set merely
         # redistribute between the two parts.
         bo = self.block_of
         for p, i in pairs:
-            old = self.blocks[p].local_bottoms
-            self.blocks[p].local_bottoms = [x for x in old if bo[x] == p]
-            self.blocks[i].local_bottoms = [x for x in old if bo[x] == i]
+            old = blocks[p].local_bottoms
+            blocks[p].local_bottoms = [x for x in old if bo[x] == p]
+            blocks[i].local_bottoms = [x for x in old if bo[x] == i]
         # Bottom-block lists: new halves inherit the parent's list, every
         # split entry is replaced by whichever parts still hold a bottom
         # state, and the sibling halves are cross-linked when they hold
         # bottom states themselves (the halves are mutually related
         # until the upcoming relation pruning).
         for p, i in pairs:
-            self.blocks[i].bottom_blocks = list(self.blocks[p].bottom_blocks)
-        for b in self.order:
-            blk = self.blocks[b]
-            if not blk.bottom_blocks:
-                continue
-            repaired: list[int] = []
-            for c in blk.bottom_blocks:
-                ci = self.blocks[c].intersection
-                if ci is None:
-                    repaired.append(c)
-                    continue
-                if any(count[x][b] == 0 for x in self.members(c)):
-                    repaired.append(c)
-                if any(count[x][b] == 0 for x in self.members(ci)):
-                    repaired.append(ci)
-            blk.bottom_blocks = repaired
+            blocks[i].bottom_blocks = list(blocks[p].bottom_blocks)
+            for d in blocks[i].bottom_blocks:
+                blocks[d].held_by.add(i)
         for p, i in pairs:
-            if self.blocks[i].local_bottoms:
-                self.blocks[p].bottom_blocks.append(i)
-            if self.blocks[p].local_bottoms:
-                self.blocks[i].bottom_blocks.append(p)
+            blk_p = blocks[p]
+            for b in sorted(blk_p.held_by):
+                bb = blocks[b].bottom_blocks
+                if not any(count[x][b] == 0 for x in self.members(p)):
+                    bb.remove(p)
+                    blk_p.held_by.discard(b)
+                if any(count[x][b] == 0 for x in self.members(i)):
+                    bb.append(i)
+                    blocks[i].held_by.add(b)
+                    self._mark_targets(b)
+        # The cross-links mark nothing: for a target the parent is not
+        # related to, every bottom state of the parent stepped into it
+        # (else it had a pair), so a part holding one has a positive
+        # BCount toward it.
+        for p, i in pairs:
+            if blocks[i].local_bottoms:
+                blocks[p].bottom_blocks.append(i)
+                blocks[i].held_by.add(p)
+            if blocks[p].local_bottoms:
+                blocks[i].bottom_blocks.append(p)
+                blocks[p].held_by.add(i)
 
     def refine(self, s_list: Sequence[int]) -> None:
         """Prune the relation against a splitter that is now a union of
@@ -461,33 +513,44 @@ class RefinementEngine:
         pruned block itself, otherwise in its bottom-block list)."""
         bo = self.block_of
         splitter_blocks = dict.fromkeys(bo[x] for x in s_list)
-        count, bcount = self.count, self.bcount
+        count, bcount, blocks = self.count, self.bcount, self.blocks
         pred = self.k.predecessors
         for b in splitter_blocks:
             row = self.rel[b]
-            blk_b = self.blocks[b]
-            for c in self.order:
-                if not row[c] or c in splitter_blocks:
-                    continue
+            pruned = [
+                c for c in compress(range(len(row)), row) if c not in splitter_blocks
+            ]
+            if not pruned:
+                continue
+            self.dirty[b] = 1
+            blk_b = blocks[b]
+            lb, bb = blk_b.local_bottoms, blk_b.bottom_blocks
+            gained = False
+            for c in pruned:
                 row[c] = 0
                 removed = self.members(c)
                 for y in removed:
                     for x in pred[y]:
                         count[x][b] -= 1
                         bcount[bo[x]][b] -= 1
-                bb = blk_b.bottom_blocks
                 if c in bb:
                     bb.remove(c)
+                    blocks[c].held_by.discard(b)
                 for y in removed:
                     for x in pred[y]:
                         if count[x][b]:
                             continue
                         bx = bo[x]
                         if bx == b:
-                            if x not in blk_b.local_bottoms:
-                                blk_b.local_bottoms.append(x)
+                            if x not in lb:
+                                lb.append(x)
+                                gained = True
                         elif row[bx] and bx not in bb:
                             bb.append(bx)
+                            blocks[bx].held_by.add(b)
+                            gained = True
+            if gained:
+                self._mark_targets(b)
 
     # -- main loop ----------------------------------------------------------
 
@@ -527,8 +590,7 @@ class RefinementEngine:
         preorder = {
             (rank[gi], rank[gj])
             for gi, b in enumerate(order)
-            for gj, c in enumerate(order)
-            if rel[b][c]
+            for gj in compress(range(len(order)), map(rel[b].__getitem__, order))
         }
         block_of = [0] * self.original.num_states
         for i, members in enumerate(blocks):
@@ -539,6 +601,7 @@ class RefinementEngine:
             blocks_created=self.blocks_created,
             initial_blocks=self.initial_blocks,
             final_blocks=len(self.order),
+            targets_visited=self.targets_visited,
         )
         return SimulationResult(blocks, frozenset(preorder), block_of, stats)
 
@@ -639,6 +702,22 @@ class RefinementEngine:
                 if c != b and rel[b][c] and any(x in bottoms for x in self.members(c))
             }
             assert set(blk.bottom_blocks) == expect_bb, f"bottomBlocks({b}) drifted"
+            assert len(blk.bottom_blocks) == len(expect_bb), f"bottomBlocks({b}) repeats"
+            holders = {a for a in order if b in self.blocks[a].bottom_blocks}
+            assert blk.held_by == holders, f"heldBy({b}) drifted"
+        # A target skipped as clean must have no refiner pair.
+        pred = self.k.predecessors
+        for c in order:
+            if self.dirty[c]:
+                continue
+            for b in {bo[x] for y in self.members(c) for x in pred[y]}:
+                blk = self.blocks[b]
+                assert rel[c][b] or all(count[s][c] for s in blk.local_bottoms), (
+                    f"clean target {c} has a refiner pair from {b}"
+                )
+                assert all(rel[c][d] or bcount[d][c] for d in blk.bottom_blocks), (
+                    f"clean target {c} has a refiner pair from {b}"
+                )
         if self._oracle_pairs is None:
             from .reference import largest_simulation_within
 

@@ -199,12 +199,17 @@ def quotient(
 
 @dataclass(frozen=True)
 class RunStats:
-    """Bookkeeping from one refinement run (post-collapse quantities)."""
+    """Bookkeeping from one refinement run (post-collapse quantities).
+
+    ``targets_visited`` counts the target blocks that refiner search
+    scanned, over all its calls.
+    """
 
     iterations: int
     blocks_created: int
     initial_blocks: int
     final_blocks: int
+    targets_visited: int
 
 
 @dataclass

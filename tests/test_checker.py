@@ -184,23 +184,41 @@ def test_maximality(seed):
         assert not check_preorder(k, augmented).accepted
 
 
-def test_rejects_augmented_preorder_at_scale():
-    # Criterion 4 where the definitional oracle cannot run: the computed
-    # preorder is the largest stuttering simulation, so adding any
-    # missing same-label pair and closing transitively must be rejected.
-    k = generate_random_ks(7, 300, 2 / 300, 4)
-    best = compute_preorder(k).state_pairs()
-    rng = random.Random(7)
+def _assert_rejects_augmentations(
+    k: KripkeStructure, best: set[tuple[int, int]], rng: random.Random
+) -> None:
+    """Criterion 4 where the definitional oracle cannot run: ``best`` is
+    the largest stuttering simulation, so adding any missing same-label
+    pair and closing transitively must be rejected."""
     missing = [
         (a, b)
         for a in k.states()
         for b in k.states()
         if k.labels[a] == k.labels[b] and (a, b) not in best
     ]
+    below: dict[int, list[int]] = {}
+    above: dict[int, list[int]] = {}
+    for x, y in best:
+        below.setdefault(y, []).append(x)
+        above.setdefault(x, []).append(y)
     for a, b in rng.sample(missing, 20):
         # a preorder plus (a, b), closed: x <= a and b <= y give x <= y
-        below_a = [x for x, y in best if y == a]
-        above_b = [y for x, y in best if x == b]
-        augmented = best | {(x, y) for x in below_a for y in above_b}
+        augmented = best | {(x, y) for x in below[a] for y in above[b]}
         verdict = check_preorder(k, augmented)
         assert not verdict.accepted and verdict.refiner_witness is not None
+
+
+def test_rejects_augmented_preorder_at_scale():
+    k = generate_random_ks(7, 300, 2 / 300, 4)
+    _assert_rejects_augmentations(k, compute_preorder(k).state_pairs(), random.Random(7))
+
+
+def test_checks_computed_preorder_at_n1500():
+    k = generate_random_ks(7, 1500, 2 / 1500, 4)
+    result = compute_preorder(k)
+    stats = result.stats
+    assert (stats.iterations, stats.blocks_created, stats.final_blocks) == (1904, 2166, 1087)
+    assert stats.targets_visited == 5744
+    best = result.state_pairs()
+    assert check_preorder(k, best).accepted
+    _assert_rejects_augmentations(k, best, random.Random(1500))

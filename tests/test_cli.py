@@ -1,3 +1,4 @@
+import json
 import os
 import subprocess
 import sys
@@ -126,6 +127,21 @@ def test_compute_trace(f2_file, capsys):
     assert cli_main(["compute", f2_file, "--trace"]) == 0
     err = capsys.readouterr().err
     assert "iteration 1" in err
+
+
+def test_compute_stats(f2_file, capsys):
+    assert cli_main(["compute", f2_file, "--emit", "all", "--full"]) == 0
+    plain = capsys.readouterr().out
+    assert cli_main(["compute", f2_file, "--emit", "all", "--full", "--stats"]) == 0
+    captured = capsys.readouterr()
+    assert captured.out == plain
+    assert json.loads(captured.err) == {
+        "iterations": 1,
+        "blocks_created": 2,
+        "initial_blocks": 3,
+        "final_blocks": 4,
+        "targets_visited": 5,
+    }
 
 
 def test_compute_deterministic_output(f2_file, capsys):

@@ -99,6 +99,17 @@ def test_initialize_rejects_order_incompatible_candidate():
         RefinementEngine(k, ([[0], [1]], pairs))
 
 
+def test_initialize_rejects_candidate_cutting_a_cycle():
+    # 0 and 1 form a same-label cycle: one block may hold it, two may not.
+    k = KripkeStructure(3, [(0, 1), (1, 0), (1, 2)], [["a"], ["a"], ["b"]])
+    assert compute_preorder(k, ([[0, 1], [2]], [(0, 0), (1, 1)])).blocks == [[0, 1], [2]]
+    with pytest.raises(
+        ValidationError,
+        match=r"candidate blocks \[\[0\], \[1\]\] cut the same-label cycle through states \[0, 1\]",
+    ):
+        RefinementEngine(k, ([[0], [1], [2]], [(0, 0), (1, 1), (2, 2)]))
+
+
 # -- queries --------------------------------------------------------------
 
 
@@ -377,6 +388,22 @@ def test_find_refiner_matches_definition_from_candidate(seed):
     _assert_search_matches_definition(e)
 
 
+@pytest.mark.parametrize("seed", range(300))
+def test_find_refiner_matches_definition_after_any_split(seed):
+    # Random splitters and prunings rather than the main loop's: every
+    # write that can give a target skipped as clean a pair must mark it.
+    rng = random.Random(seed)
+    k = generate_random_ks(22_000 + seed, 3 + seed % 26, (0.1, 0.2, 0.3)[seed % 3], 1 + seed % 3)
+    e = RefinementEngine(k)
+    for _ in range(20):
+        assert e.find_refiner() == _first_refiner(e)
+        splitter = [x for x in e.state_list if rng.random() < 0.4]
+        e.splitting_procedure(splitter)
+        assert e.find_refiner() == _first_refiner(e)
+        if rng.random() < 0.5:
+            e.refine(splitter)
+
+
 def test_sparse_300_pins_refiner_sequence():
     # A size the naive oracles cannot reach: any drift in which refiner
     # pairs are chosen changes these counts.
@@ -384,6 +411,7 @@ def test_sparse_300_pins_refiner_sequence():
     result = compute_preorder(k)
     stats = result.stats
     assert (stats.iterations, stats.blocks_created, stats.final_blocks) == (410, 450, 229)
+    assert stats.targets_visited == 1088
     assert check_preorder(k, result.state_pairs()).accepted
 
 
@@ -464,6 +492,11 @@ def test_candidate_run_random(seed):
     assert result.state_pairs() == largest_simulation_within(k, rel)
 
 
+# Seeds whose candidate puts the states of a same-label cycle into
+# different blocks.
+CUT_CYCLE_SEEDS = {9, 20, 30, 49, 58, 63, 79, 97, 117, 131, 143}
+
+
 @pytest.mark.parametrize("seed", range(150))
 def test_candidate_with_mutually_related_blocks(seed):
     # Each class split into two mutually related halves: the engine
@@ -481,11 +514,16 @@ def test_candidate_with_mutually_related_blocks(seed):
     split_pairs = {(a, b) for i, j in pairs for a in ids[i] for b in ids[j]}
     try:
         expected = compute_preorder(k, (classes, pairs))
-    except ValidationError:
-        # candidate block order incompatible with the topology
+    except ValidationError as exc:
+        # The candidate cuts a same-label cycle, or its block order is
+        # incompatible with the topology.
+        cuts = seed in CUT_CYCLE_SEEDS
+        assert ("cut the same-label cycle" in str(exc)) == cuts
+        assert ("no valid list ordering" in str(exc)) != cuts
         with pytest.raises(ValidationError):
             compute_preorder(k, (blocks, split_pairs))
         return
+    assert seed not in CUT_CYCLE_SEEDS
     result = compute_preorder(k, (blocks, split_pairs), debug=True)
     assert result.state_pairs() == largest_simulation_within(k, rel)
     assert result == expected and result.stats == expected.stats
