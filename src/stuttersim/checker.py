@@ -58,6 +58,14 @@ def _sink_components(
     return [comp for comp, exits in zip(comps, has_exit) if not exits]
 
 
+def _least_mixed_pair(
+    k: KripkeStructure, pairs: Iterable[tuple[int, int]]
+) -> tuple[int, int] | None:
+    """The least related pair whose labels differ, or None."""
+    labels = k.labels
+    return min((p for p in pairs if labels[p[0]] != labels[p[1]]), default=None)
+
+
 def check_preorder(
     k: KripkeStructure, pairs: Iterable[tuple[int, int]]
 ) -> CheckVerdict:
@@ -73,9 +81,9 @@ def check_preorder(
     """
     rel_pairs = set(pairs)
     blocks, block_of, mu = _validate_relation(k.num_states, rel_pairs)
-    for s, t in sorted(rel_pairs):
-        if k.labels[s] != k.labels[t]:
-            return CheckVerdict(False, label_witness=(s, t))
+    mixed = _least_mixed_pair(k, rel_pairs)
+    if mixed is not None:
+        return CheckVerdict(False, label_witness=mixed)
 
     succ = k.successors
     sink_cache: dict[int, list[list[int]]] = {}
@@ -120,9 +128,9 @@ def find_definition_violation(
     fwd: dict[int, set[int]] = {}
     for s, t in rel_pairs:
         fwd.setdefault(s, set()).add(t)
-    for s, t in sorted(rel_pairs):
-        if k.labels[s] != k.labels[t]:
-            return ("label", s, t, -1)
+    mixed = _least_mixed_pair(k, rel_pairs)
+    if mixed is not None:
+        return ("label", *mixed, -1)
     for x in k.states():
         row = fwd.get(x, set())
         if not row:

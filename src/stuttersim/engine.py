@@ -32,6 +32,7 @@ from .preprocess import (
     is_reverse_topological,
     sort_states_locally_topological,
     strongly_connected_components,
+    topological_order,
 )
 
 CandidatePR = tuple[Sequence[Sequence[int]], Iterable[tuple[int, int]]]
@@ -42,7 +43,6 @@ TraceHook = Callable[[int, tuple[int, int], int, int], None]
 class _Block:
     begin: int
     end: int
-    intersection: int | None = None
     local_bottoms: list[int] = field(default_factory=list)
     bottom_blocks: list[int] = field(default_factory=list)
     # The blocks whose ``bottom_blocks`` hold this one.
@@ -98,7 +98,8 @@ def _combined_block_order(
     list).  ``pairs`` must be antisymmetric, as a merged candidate's
     are.  Both families are necessary, so a constraint cycle means no
     valid configuration exists and the candidate relation is rejected.
-    The default input induces no constraints and keeps the input order.
+    Ties go to the least block id, so the default input, which
+    induces no constraints, keeps the input order.
     """
     succs: list[set[int]] = [set() for _ in range(m)]  # emitted-before sets
     for i, j in pairs:
@@ -108,23 +109,7 @@ def _combined_block_order(
         bs, bt = block_of[s], block_of[t]
         if bs != bt and k.labels[s] == k.labels[t]:
             succs[bs].add(bt)  # source block first
-    indeg = [0] * m
-    for b in range(m):
-        for c in succs[b]:
-            indeg[c] += 1
-    ready = [b for b in range(m) if indeg[b] == 0]
-    out: list[int] = []
-    while ready:
-        b = ready.pop(0)
-        out.append(b)
-        fresh = []
-        for c in succs[b]:
-            indeg[c] -= 1
-            if indeg[c] == 0:
-                fresh.append(c)
-        if fresh:
-            ready.extend(fresh)
-            ready.sort()
+    out = topological_order(succs, bytes(m))
     if len(out) != m:
         raise ValidationError(
             "candidate relation orders blocks against the same-label "
@@ -170,26 +155,33 @@ class RefinementEngine:
                 block_of0[s] = i
         self.k, self.collapse = collapse_inert_sccs(k, block_of0)
         n = self.k.num_states
+        m = len(blocks0)
 
         # Block ids 0..m-1 are the (merged) candidate block indices;
-        # identifiers allocated later by splits are never reused.
-        coll_members: list[list[int]] = []
-        for members in blocks0:
-            coll_members.append(sorted({self.collapse.representative[s] for s in members}))
-
-        ts = sort_states_locally_topological(self.k, labeling_partition(self.k))
-        tspos = [0] * n
-        for i, s in enumerate(ts):
-            tspos[s] = i
-
-        m = len(blocks0)
-        cblock_of = [0] * n
-        for b, members in enumerate(coll_members):
-            for s in members:
-                cblock_of[s] = b
+        # identifiers allocated later by splits are never reused.  An
+        # inert SCC lies inside one block.
+        self.block_of = [block_of0[ms[0]] for ms in self.collapse.members]
         self.order: list[int] = _combined_block_order(
-            self.k, m, pairs0, cblock_of
+            self.k, m, pairs0, self.block_of
         )
+        coll_members: list[list[int]] = [[] for _ in range(m)]
+        for s, b in enumerate(self.block_of):
+            coll_members[b].append(s)
+        self.state_list: list[int] = sort_states_locally_topological(
+            self.k, [coll_members[b] for b in self.order]
+        )
+        self.position = [0] * n
+        for i, s in enumerate(self.state_list):
+            self.position[s] = i
+        self.blocks: list[_Block] = [_Block(0, 0) for _ in range(m)]
+        begin = 0
+        for b in self.order:
+            blk = self.blocks[b]
+            blk.begin, blk.end = begin, begin + len(coll_members[b])
+            begin = blk.end
+        # Defensive: the combined block order makes this impossible.
+        if not is_locally_topological(self.k, self.state_list):
+            raise AssertionError("a backward same-label transition survived ordering")
 
         # Square in the block ids; ``_new_block`` adds a column and a row.
         self.rel: list[bytearray] = [bytearray(m) for _ in range(m)]
@@ -202,27 +194,6 @@ class RefinementEngine:
         # Per block id: 0 from a scan of the target that found no pair
         # until a write that could give it one (see ``find_refiner``).
         self.dirty = bytearray(b"\x01" * m)
-
-        self.state_list: list[int] = []
-        self.position = [0] * n
-        self.block_of = [0] * n
-        self.blocks: list[_Block] = [_Block(0, 0) for _ in range(m)]
-        for b in self.order:
-            members = sorted(coll_members[b], key=lambda s: tspos[s])
-            begin = len(self.state_list)
-            for s in members:
-                self.position[s] = len(self.state_list)
-                self.block_of[s] = b
-                self.state_list.append(s)
-            self.blocks[b].begin = begin
-            self.blocks[b].end = len(self.state_list)
-
-        # Defensive: the combined block order above makes this impossible.
-        for s, t in self.k.transitions:
-            if self.k.labels[s] == self.k.labels[t] and self.position[s] > self.position[t]:
-                raise AssertionError(
-                    f"backward same-label transition ({s}, {t}) survived ordering"
-                )
 
         self._init_counters()
         self.iterations = 0
@@ -385,14 +356,15 @@ class RefinementEngine:
 
     # -- refinement steps ---------------------------------------------------
 
-    def split(self, s_list: Sequence[int]) -> list[int]:
+    def split(self, s_list: Sequence[int]) -> list[tuple[int, int]]:
         """Split the partition w.r.t. a splitter sublist of the state list.
 
         Each properly split parent keeps its id for the part outside the
-        splitter and points to a fresh block holding the inside part,
-        inserted immediately in front of it; within both parts states
+        splitter, and a fresh block holds the inside part, inserted
+        immediately in front of it; within both parts states
         keep their previous relative order, which preserves the local
-        topological property.  Returns the properly split parent ids.
+        topological property.  Returns a ``(parent, new block)`` pair per
+        properly split parent.
         """
         bo = self.block_of
         parents: list[int] = []
@@ -404,7 +376,7 @@ class RefinementEngine:
                 inside[b] = grp = []
                 parents.append(b)
             grp.append(x)
-        split_ids: list[int] = []
+        pairs: list[tuple[int, int]] = []
         for p in parents:
             blk = self.blocks[p]
             ss = inside[p]
@@ -413,7 +385,6 @@ class RefinementEngine:
             in_s = set(ss)
             ds = [x for x in self.state_list[blk.begin : blk.end] if x not in in_s]
             nid = self._new_block(p, blk.begin, blk.begin + len(ss))
-            blk.intersection = nid
             newseq = ss + ds
             self.state_list[blk.begin : blk.end] = newseq
             for i, x in enumerate(newseq, start=blk.begin):
@@ -422,32 +393,26 @@ class RefinementEngine:
                 bo[x] = nid
             blk.begin += len(ss)
             self.order.insert(self.order.index(p), nid)
-            split_ids.append(p)
-        return split_ids
+            pairs.append((p, nid))
+        return pairs
 
     def splitting_procedure(self, s_list: Sequence[int]) -> None:
         """Split w.r.t. ``s_list``, then repair the counter tables and
         bottom bookkeeping.  Each new block starts with its parent's
         relation row and column, so every state's candidate set is
         unchanged."""
-        split_ids = self.split(s_list)
-        if not split_ids:
-            return
-        self.update(split_ids)
-        for p in split_ids:
-            self.blocks[p].intersection = None
-        self.blocks_created += 2 * len(split_ids)
+        pairs = self.split(s_list)
+        self.update(pairs)
+        self.blocks_created += 2 * len(pairs)
 
-    def update(self, split_ids: Sequence[int]) -> None:
+    def update(self, pairs: Sequence[tuple[int, int]]) -> None:
         """Repair BCount rows and the bottom bookkeeping after a split.
         Candidate sets are unchanged at this point, so the counters each
         new block copied from its parent stay right, except the BCount
         rows of the two parts: the parent's redistribute between them.
         Work is proportional to the smaller part's rows and to the
-        blocks whose bottom-block lists hold a split parent."""
-        if not split_ids:
-            return
-        pairs = [(p, self.blocks[p].intersection) for p in split_ids]
+        blocks whose bottom-block lists hold a split parent.  ``pairs``
+        are the ``(parent, new block)`` pairs that ``split`` returns."""
         count, bcount, dirty, blocks = self.count, self.bcount, self.dirty, self.blocks
         for p, i in pairs:
             blk_i, blk_p = blocks[i], blocks[p]
@@ -648,7 +613,6 @@ class RefinementEngine:
         pos = 0
         for b in order:
             blk = self.blocks[b]
-            assert blk.intersection is None, "intersection field leaked"
             assert blk.begin == pos and blk.end > blk.begin, "blocks misaligned"
             pos = blk.end
             for x in self.members(b):

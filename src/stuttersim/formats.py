@@ -28,29 +28,48 @@ class ParseError(ValueError):
         self.column = column
 
 
-def _content_lines(text: str) -> list[tuple[int, list[str], list[int]]]:
-    """Non-empty lines as (line number, tokens, token start columns)."""
+def _content_lines(text: str) -> list[tuple[int, list[str]]]:
+    """Non-empty lines as (line number, tokens)."""
     out = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        body = raw.split("#", 1)[0]
-        tokens = body.split()
-        if not tokens:
-            continue
-        columns = []
-        pos = 0
-        for tok in tokens:
-            pos = body.index(tok, pos)
-            columns.append(pos + 1)
-            pos += len(tok)
-        out.append((lineno, tokens, columns))
+        tokens = raw.split("#", 1)[0].split()
+        if tokens:
+            out.append((lineno, tokens))
     return out
 
 
-def _parse_int(tok: str, lineno: int, column: int, what: str) -> int:
+def _error(text: str, message: str, lineno: int, index: int) -> ParseError:
+    """ParseError at the start column of token ``index`` of line
+    ``lineno``, found by rescanning that line."""
+    body = text.splitlines()[lineno - 1].split("#", 1)[0]
+    tokens = body.split()
+    pos = 0
+    for tok in tokens[:index]:
+        pos = body.index(tok, pos) + len(tok)
+    return ParseError(message, lineno, body.index(tokens[index], pos) + 1)
+
+
+def _parse_int(text: str, lineno: int, tokens: list[str], index: int, what: str) -> int:
     try:
-        return int(tok)
+        return int(tokens[index])
     except ValueError:
-        raise ParseError(f"expected {what}, got {tok!r}", lineno, column) from None
+        message = f"expected {what}, got {tokens[index]!r}"
+        raise _error(text, message, lineno, index) from None
+
+
+def _state_pair(
+    text: str, lineno: int, tokens: list[str], n: int, shape: str
+) -> tuple[int, int]:
+    """The two state ids of a transition or relation line."""
+    if len(tokens) != 2:
+        raise _error(text, f"expected {shape}", lineno, 0)
+    u = _parse_int(text, lineno, tokens, 0, "a state id")
+    v = _parse_int(text, lineno, tokens, 1, "a state id")
+    if not 0 <= u < n:
+        raise _error(text, f"dangling state id {u}", lineno, 0)
+    if not 0 <= v < n:
+        raise _error(text, f"dangling state id {v}", lineno, 1)
+    return u, v
 
 
 def parse_ks(text: str) -> KripkeStructure:
@@ -60,61 +79,53 @@ def parse_ks(text: str) -> KripkeStructure:
         raise ParseError("empty model file", 1)
     cursor = 0
 
-    lineno, tokens, cols = lines[cursor]
+    lineno, tokens = lines[cursor]
     if tokens[0] != "states" or len(tokens) != 2:
-        raise ParseError("expected 'states <N>'", lineno, cols[0])
-    n = _parse_int(tokens[1], lineno, cols[1], "a state count")
+        raise _error(text, "expected 'states <N>'", lineno, 0)
+    n = _parse_int(text, lineno, tokens, 1, "a state count")
     if n < 0:
-        raise ParseError("state count must be >= 0", lineno, cols[1])
+        raise _error(text, "state count must be >= 0", lineno, 1)
     cursor += 1
 
     labels: list[list[str] | None] = [None] * n
     for _ in range(n):
         if cursor >= len(lines):
             raise ParseError(f"expected {n} label lines", lineno)
-        lineno, tokens, cols = lines[cursor]
+        lineno, tokens = lines[cursor]
         if tokens[0] != "label" or len(tokens) < 2:
-            raise ParseError("expected 'label <id> <atom>*'", lineno, cols[0])
-        sid = _parse_int(tokens[1], lineno, cols[1], "a state id")
+            raise _error(text, "expected 'label <id> <atom>*'", lineno, 0)
+        sid = _parse_int(text, lineno, tokens, 1, "a state id")
         if not 0 <= sid < n:
-            raise ParseError(f"dangling state id {sid}", lineno, cols[1])
+            raise _error(text, f"dangling state id {sid}", lineno, 1)
         if labels[sid] is not None:
-            raise ParseError(f"duplicate state declaration {sid}", lineno, cols[1])
-        for tok, col in zip(tokens[2:], cols[2:]):
-            if not _ATOM_RE.match(tok):
-                raise ParseError(f"invalid atom {tok!r}", lineno, col)
+            raise _error(text, f"duplicate state declaration {sid}", lineno, 1)
+        for i in range(2, len(tokens)):
+            if not _ATOM_RE.match(tokens[i]):
+                raise _error(text, f"invalid atom {tokens[i]!r}", lineno, i)
         labels[sid] = tokens[2:]
         cursor += 1
 
     if cursor >= len(lines):
         raise ParseError("expected 'transitions <M>'", lineno)
-    lineno, tokens, cols = lines[cursor]
+    lineno, tokens = lines[cursor]
     if tokens[0] != "transitions" or len(tokens) != 2:
-        raise ParseError("expected 'transitions <M>'", lineno, cols[0])
-    m = _parse_int(tokens[1], lineno, cols[1], "a transition count")
+        raise _error(text, "expected 'transitions <M>'", lineno, 0)
+    m = _parse_int(text, lineno, tokens, 1, "a transition count")
     if m < 0:
-        raise ParseError("transition count must be >= 0", lineno, cols[1])
+        raise _error(text, "transition count must be >= 0", lineno, 1)
     cursor += 1
 
     transitions: list[tuple[int, int]] = []
     for _ in range(m):
         if cursor >= len(lines):
             raise ParseError(f"expected {m} transition lines", lineno)
-        lineno, tokens, cols = lines[cursor]
-        if len(tokens) != 2:
-            raise ParseError("expected '<src> <dst>'", lineno, cols[0])
-        src = _parse_int(tokens[0], lineno, cols[0], "a state id")
-        dst = _parse_int(tokens[1], lineno, cols[1], "a state id")
-        if not 0 <= src < n:
-            raise ParseError(f"dangling state id {src}", lineno, cols[0])
-        if not 0 <= dst < n:
-            raise ParseError(f"dangling state id {dst}", lineno, cols[1])
-        transitions.append((src, dst))
+        lineno, tokens = lines[cursor]
+        transitions.append(_state_pair(text, lineno, tokens, n, "'<src> <dst>'"))
         cursor += 1
 
     if cursor != len(lines):
-        lineno, _, cols = lines[cursor]
-        raise ParseError("unexpected content after transitions", lineno, cols[0])
+        lineno = lines[cursor][0]
+        raise _error(text, "unexpected content after transitions", lineno, 0)
     return KripkeStructure(n, transitions, [lab or [] for lab in labels])
 
 
@@ -148,18 +159,10 @@ def serialize_result(result: SimulationResult, full: bool = False) -> str:
 
 def parse_relation(text: str, k: KripkeStructure) -> set[tuple[int, int]]:
     """Parse 'u v' lines into a relation; duplicates are ignored."""
-    pairs: set[tuple[int, int]] = set()
-    for lineno, tokens, cols in _content_lines(text):
-        if len(tokens) != 2:
-            raise ParseError("expected '<u> <v>'", lineno, cols[0])
-        u = _parse_int(tokens[0], lineno, cols[0], "a state id")
-        v = _parse_int(tokens[1], lineno, cols[1], "a state id")
-        if not 0 <= u < k.num_states:
-            raise ParseError(f"dangling state id {u}", lineno, cols[0])
-        if not 0 <= v < k.num_states:
-            raise ParseError(f"dangling state id {v}", lineno, cols[1])
-        pairs.add((u, v))
-    return pairs
+    return {
+        _state_pair(text, lineno, tokens, k.num_states, "'<u> <v>'")
+        for lineno, tokens in _content_lines(text)
+    }
 
 
 def generate_random_ks(

@@ -32,8 +32,10 @@ class KripkeStructure:
     """Finite transition system with a labeling of states by atom sets.
 
     The transition relation need not be total.  Instances are treated as
-    immutable after construction; per-state predecessor lists are built
-    once and shared by every algorithm.
+    immutable after construction.  The edges are stored once, as sorted
+    duplicate-free successor lists; the predecessor lists and the sorted
+    ``transitions`` list are derived from them and shared by every
+    algorithm.
     """
 
     def __init__(
@@ -52,24 +54,22 @@ class KripkeStructure:
         self.labels: tuple[frozenset[str], ...] = tuple(
             frozenset(lab) for lab in labels
         )
-        seen: set[tuple[int, int]] = set()
         succ: list[list[int]] = [[] for _ in range(num_states)]
-        pred: list[list[int]] = [[] for _ in range(num_states)]
         for s, t in transitions:
             if not (0 <= s < num_states and 0 <= t < num_states):
                 raise ValidationError(f"transition ({s}, {t}) out of range")
-            if (s, t) in seen:
-                continue
-            seen.add((s, t))
             succ[s].append(t)
-            pred[t].append(s)
-        for lst in succ:
-            lst.sort()
-        for lst in pred:
-            lst.sort()
+        pred: list[list[int]] = [[] for _ in range(num_states)]
+        for s, lst in enumerate(succ):
+            if len(lst) > 1:
+                lst[:] = sorted(set(lst))
+            for t in lst:
+                pred[t].append(s)  # in state order, so sorted
         self.successors: list[list[int]] = succ
         self.predecessors: list[list[int]] = pred
-        self.transitions: list[tuple[int, int]] = sorted(seen)
+        self.transitions: list[tuple[int, int]] = [
+            (s, t) for s, lst in enumerate(succ) for t in lst
+        ]
 
     @cached_property
     def atoms(self) -> frozenset[str]:
@@ -193,8 +193,8 @@ def quotient(
     for q, i in enumerate(order):
         rank[i] = q
     labels = [k.labels[blocks[i][0]] for i in order]
-    edges = {(rank[block_of[s]], rank[block_of[t]]) for s, t in k.transitions}
-    return KripkeStructure(len(order), sorted(edges), labels)
+    edges = ((rank[block_of[s]], rank[block_of[t]]) for s, t in k.transitions)
+    return KripkeStructure(len(order), edges, labels)
 
 
 @dataclass(frozen=True)

@@ -9,6 +9,7 @@ block preorder.  Everything here is a pure function.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from heapq import heappop, heappush
 from typing import Callable, Iterable, Sequence
 
 from .model import KripkeStructure, ValidationError
@@ -93,69 +94,73 @@ def collapse_inert_sccs(
     ``block_of``.  Labels are inherited from the representative (least
     member); transitions are the existential lift with every resulting
     inert self-loop removed, so the output has no inert SCC at all.
+    When every inert SCC is a single state without a self-loop, nothing
+    collapses and ``k`` itself is returned with the identity map.
     """
-    sccs = strongly_connected_components(
-        k.successors, block_of, range(k.num_states)
-    )
+    n = k.num_states
+    sccs = strongly_connected_components(k.successors, block_of, range(n))
+    if len(sccs) == n and not any(s in k.successors[s] for s in range(n)):
+        return k, CollapseMap(list(range(n)), [[s] for s in range(n)])
     sccs.sort(key=lambda c: c[0])
-    representative = [0] * k.num_states
-    members: list[list[int]] = []
+    representative = [0] * n
     for new_id, comp in enumerate(sccs):
-        members.append(comp)
         for s in comp:
             representative[s] = new_id
-    edges: set[tuple[int, int]] = set()
-    for s, t in k.transitions:
-        a, b = representative[s], representative[t]
-        if a == b:
-            continue  # collapsed or plain inert self-loop
-        edges.add((a, b))
+    edges = (
+        (representative[s], representative[t])
+        for s, t in k.transitions
+        if representative[s] != representative[t]  # no inert self-loop
+    )
     labels = [k.labels[comp[0]] for comp in sccs]
-    collapsed = KripkeStructure(len(sccs), sorted(edges), labels)
-    return collapsed, CollapseMap(representative, members)
+    collapsed = KripkeStructure(len(sccs), edges, labels)
+    return collapsed, CollapseMap(representative, sccs)
+
+
+def topological_order(
+    successors: Sequence[Iterable[int]], group: Sequence[int]
+) -> list[int]:
+    """Least-first topological order of the subgraph of edges whose two
+    ends share a group (Kahn's algorithm, always emitting the least
+    ready node).  A node on a cycle, or after one, is left out.
+    """
+    indeg = [0] * len(successors)
+    for v, succ in enumerate(successors):
+        for w in succ:
+            if group[w] == group[v]:
+                indeg[w] += 1
+    ready = [v for v in range(len(successors)) if indeg[v] == 0]
+    out: list[int] = []
+    while ready:
+        v = heappop(ready)
+        out.append(v)
+        for w in successors[v]:
+            if group[w] == group[v]:
+                indeg[w] -= 1
+                if indeg[w] == 0:
+                    heappush(ready, w)
+    return out
 
 
 def sort_states_locally_topological(
-    k: KripkeStructure, label_classes: Sequence[Sequence[int]]
+    k: KripkeStructure, classes: Sequence[Sequence[int]]
 ) -> list[int]:
-    """Permutation of the states, contiguous per label class, such that
-    no transition between same-label states goes backwards in the list.
+    """Permutation of the states, contiguous per class and in class
+    order, such that no transition inside a class goes backwards in the
+    list.
 
-    Only same-label edges constrain the order, so one Kahn pass over the
-    inert subgraph followed by a stable grouping per class suffices.
-    Raises ValidationError if an inert cycle remains (the structure was
-    not collapsed first).
+    Only edges inside a class constrain the order, so one topological
+    sort of that subgraph followed by a stable sort by class suffices.
+    Raises ValidationError if a cycle inside a class remains (the
+    structure was not collapsed first).
     """
-    n = k.num_states
-    class_of = [0] * n
-    for ci, members in enumerate(label_classes):
+    class_of = [0] * k.num_states
+    for ci, members in enumerate(classes):
         for s in members:
             class_of[s] = ci
-    indeg = [0] * n
-    for s, t in k.transitions:
-        if class_of[s] == class_of[t]:
-            indeg[t] += 1
-    ready = [s for s in range(n) if indeg[s] == 0]
-    topo: list[int] = []
-    head = 0
-    while head < len(ready):
-        s = ready[head]
-        head += 1
-        topo.append(s)
-        for t in k.successors[s]:
-            if class_of[t] == class_of[s]:
-                indeg[t] -= 1
-                if indeg[t] == 0:
-                    ready.append(t)
-    if len(topo) != n:
+    topo = topological_order(k.successors, class_of)
+    if len(topo) != k.num_states:
         raise ValidationError("inert cycle detected; collapse SCCs first")
-    grouped: list[list[int]] = [[] for _ in label_classes]
-    for s in topo:
-        grouped[class_of[s]].append(s)
-    out: list[int] = []
-    for members in grouped:
-        out.extend(members)
-    return out
+    return sorted(topo, key=class_of.__getitem__)  # stable: keeps topo order
 
 
 def is_locally_topological(k: KripkeStructure, order: Sequence[int]) -> bool:

@@ -222,3 +222,18 @@ def test_checks_computed_preorder_at_n1500():
     best = result.state_pairs()
     assert check_preorder(k, best).accepted
     _assert_rejects_augmentations(k, best, random.Random(1500))
+
+
+@pytest.mark.parametrize("seed", range(60))
+def test_label_witness_is_least_mixed_pair(seed):
+    """Both checkers name the least related pair whose labels differ."""
+    rng = random.Random(seed)
+    n = 3 + seed % 8
+    labels = [["p0"], ["p1"], ["p2"]] + [[f"p{rng.randrange(3)}"] for _ in range(n - 3)]
+    k = KripkeStructure(n, [], labels)
+    picked = {(rng.randrange(n), rng.randrange(n)) for _ in range(n)}
+    rel = transitive_closure(picked | {(s, s) for s in range(n)} | {(1, 0), (1, 2)})
+    mixed = [(s, t) for s, t in rel if k.labels[s] != k.labels[t]]
+    assert len(mixed) >= 2
+    assert check_preorder(k, rel).label_witness == min(mixed)
+    assert find_definition_violation(k, rel) == ("label", *min(mixed), -1)

@@ -181,12 +181,11 @@ def test_split_union_of_blocks_is_noop(f2):
 def test_split_f2(f2):
     e = RefinementEngine(f2)
     parent = e.block_of[0]
-    split_ids = e.split([0])
-    assert split_ids == [parent]
+    pairs = e.split([0])
     new = e.block_of[0]
+    assert pairs == [(parent, new)]
     assert e.members(new) == [0] and e.members(parent) == [3]
     assert e.order.index(new) == e.order.index(parent) - 1
-    assert e.blocks[parent].intersection == new
 
 
 def test_splitting_procedure_union_noop(f2):

@@ -132,3 +132,62 @@ def test_generate_validates_parameters():
         generate_random_ks(0, 3, 1.5, 1)
     with pytest.raises(ValidationError):
         generate_random_ks(0, 3, 0.5, 0)
+
+
+_HEAD = "states 1\nlabel 0 p\n"
+_HEAD5 = "states 5\n" + "".join(f"label {s}\n" for s in range(5))
+
+
+@pytest.mark.parametrize(
+    "text, relation_states, message, line, column",
+    [
+        ("", None, "empty model file", 1, 1),
+        ("# only a comment\n\n", None, "empty model file", 1, 1),
+        ("  labels 3\n", None, "expected 'states <N>'", 1, 3),
+        ("states 2 3\n", None, "expected 'states <N>'", 1, 1),
+        ("# header\n\tstates x\n", None, "expected a state count, got 'x'", 2, 9),
+        ("states -1\n", None, "state count must be >= 0", 1, 8),
+        ("states 2\nlabel 0 p\n", None, "expected 2 label lines", 2, 1),
+        ("states 1\n  lbl 0 p\n", None, "expected 'label <id> <atom>*'", 2, 3),
+        ("states 1\nlabel\n", None, "expected 'label <id> <atom>*'", 2, 1),
+        ("states 1\nlabel x p\n", None, "expected a state id, got 'x'", 2, 7),
+        ("states 1\nlabel 1 p\n", None, "dangling state id 1", 2, 7),
+        ("states 2\nlabel 0 p\nlabel  0 q\n", None,
+         "duplicate state declaration 0", 3, 8),
+        ("states 1\nlabel 0 p p9 9p\n", None, "invalid atom '9p'", 2, 14),
+        ("states 1\nlabel 0 p 0\n", None, "invalid atom '0'", 2, 11),
+        ("states 1\nlabel 0 p0 0\n", None, "invalid atom '0'", 2, 12),
+        ("states 1\r\nlabel 0 9p\r\n", None, "invalid atom '9p'", 2, 9),
+        (_HEAD, None, "expected 'transitions <M>'", 2, 1),
+        (_HEAD + " trans 0\n", None, "expected 'transitions <M>'", 3, 2),
+        (_HEAD + "transitions many\n", None,
+         "expected a transition count, got 'many'", 3, 13),
+        (_HEAD + "transitions -2\n", None, "transition count must be >= 0", 3, 13),
+        (_HEAD + "transitions 2\n0 0\n", None, "expected 2 transition lines", 4, 1),
+        (_HEAD + "transitions 1\n0 0 0\n", None, "expected '<src> <dst>'", 4, 1),
+        (_HEAD + "transitions 1\n\t a 0\n", None, "expected a state id, got 'a'", 4, 3),
+        (_HEAD + "transitions 1\n0 b\n", None, "expected a state id, got 'b'", 4, 3),
+        (_HEAD5 + "transitions 1\n5 5\n", None, "dangling state id 5", 8, 1),
+        (_HEAD5 + "transitions 1\n0  5\n", None, "dangling state id 5", 8, 4),
+        (_HEAD + "transitions 0\n0 0  # trailing\n", None,
+         "unexpected content after transitions", 4, 1),
+        ("0 0\n1 2 0\n", 3, "expected '<u> <v>'", 2, 1),
+        ("7\n", 3, "expected '<u> <v>'", 1, 1),
+        ("# c\n  u 0\n", 3, "expected a state id, got 'u'", 2, 3),
+        ("0\tv\n", 3, "expected a state id, got 'v'", 1, 3),
+        ("3 0\n", 3, "dangling state id 3", 1, 1),
+        ("0 \t 3\n", 3, "dangling state id 3", 1, 5),
+        ("5 5\n", 3, "dangling state id 5", 1, 1),
+    ],
+)
+def test_parse_error_positions(text, relation_states, message, line, column):
+    """Every raise site of ``parse_ks`` and ``parse_relation`` reports
+    its message at the offending token's line and 1-based column."""
+    with pytest.raises(ParseError) as exc:
+        if relation_states is None:
+            parse_ks(text)
+        else:
+            n = relation_states
+            parse_relation(text, KripkeStructure(n, [], [[]] * n))
+    assert (exc.value.line, exc.value.column) == (line, column)
+    assert str(exc.value) == f"line {line}, column {column}: {message}"

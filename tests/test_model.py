@@ -29,6 +29,24 @@ def test_duplicate_transitions_collapse():
     assert k.predecessors[1] == [0]
 
 
+@pytest.mark.parametrize("seed", range(30))
+def test_construction_from_shuffled_duplicate_edges(seed):
+    """Successors, predecessors and transitions come out sorted and
+    duplicate-free, whatever the order and repetition of the input."""
+    k = generate_random_ks(seed, 1 + seed % 12, 0.3, 2)
+    rng = random.Random(seed)
+    edges = k.transitions + rng.choices(k.transitions, k=len(k.transitions))
+    rng.shuffle(edges)
+    shuffled = KripkeStructure(k.num_states, edges, k.labels)
+    clean = KripkeStructure(k.num_states, sorted(set(edges)), k.labels)
+    assert shuffled.successors == clean.successors
+    assert shuffled.predecessors == clean.predecessors
+    assert shuffled.transitions == clean.transitions == sorted(set(edges))
+    for s in k.states():
+        assert shuffled.successors[s] == sorted({t for x, t in edges if x == s})
+        assert shuffled.predecessors[s] == sorted({x for x, t in edges if t == s})
+
+
 def test_labeling_partition(f1, f2):
     assert labeling_partition(f1) == [[0, 1, 2], [3, 4]]
     assert labeling_partition(f2) == [[0, 3], [1, 4], [2]]

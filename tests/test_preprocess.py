@@ -53,6 +53,35 @@ def test_collapse_acyclic_identity(f1):
     assert cmap.members == [[s] for s in range(f1.num_states)]
 
 
+@pytest.mark.parametrize("seed", range(30))
+def test_collapse_returns_input_when_nothing_collapses(seed):
+    """Without a self-loop or a same-block cycle the input object comes
+    back with the identity map; adding either gives a new, smaller
+    structure."""
+    rng = random.Random(seed)
+    n = 3 + seed % 8
+    labels = [[f"p{rng.randrange(2)}"] for _ in range(n)]
+    forward = [(s, t) for s in range(n) for t in range(s + 1, n) if rng.random() < 0.4]
+    a, b = next(
+        (s, t) for s in range(n) for t in range(s + 1, n) if labels[s] == labels[t]
+    )
+    cross = [(s, t) for s in range(n) for t in range(s) if labels[s] != labels[t]]
+    for edges in (forward, forward + cross):  # cross-block cycles do not collapse
+        k = KripkeStructure(n, edges, labels)
+        collapsed, cmap = collapse_inert_sccs(k, block_of(k))
+        assert collapsed is k
+        assert cmap.representative == list(range(n))
+        assert cmap.members == [[s] for s in range(n)]
+    looped = KripkeStructure(n, forward + [(a, a)], labels)
+    collapsed, _ = collapse_inert_sccs(looped, block_of(looped))
+    assert collapsed is not looped
+    assert collapsed == KripkeStructure(n, forward, labels)
+    cycle = KripkeStructure(n, forward + [(a, b), (b, a)], labels)
+    collapsed, cmap = collapse_inert_sccs(cycle, block_of(cycle))
+    assert collapsed is not cycle and collapsed.num_states == n - 1
+    assert [a, b] in cmap.members
+
+
 @pytest.mark.parametrize("seed", range(40))
 def test_collapse_leaves_no_inert_cycles(seed):
     k = generate_random_ks(seed, 2 + seed % 8, 0.4, 1 + seed % 3)
