@@ -12,9 +12,9 @@ the refiner search correct.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
-from itertools import compress
-from operator import sub
+from itertools import compress, repeat
 from typing import Callable, Iterable, Sequence
 
 from .model import (
@@ -187,8 +187,10 @@ class RefinementEngine:
         self.rel: list[bytearray] = [bytearray(m) for _ in range(m)]
         for i, j in pairs0:
             self.rel[i][j] = 1
-        self.count: list[list[int]] = [[0] * m for _ in range(n)]
-        self.bcount: list[list[int]] = [[0] * m for _ in range(m)]
+        # Nonzero entries only: count[c][x] = |succ(x) & image(c)|, and
+        # bcount[b][c] is its sum over the members of b.
+        self.count: list[dict[int, int]] = [{} for _ in range(m)]
+        self.bcount: list[dict[int, int]] = [{} for _ in range(m)]
         self.mark1 = bytearray(n)
         self.mark2 = bytearray(n)
         # Per block id: 0 from a scan of the target that found no pair
@@ -213,16 +215,17 @@ class RefinementEngine:
 
     def _new_block(self, parent: int, begin: int, end: int) -> int:
         """Allocate a block that starts as a copy of ``parent``: related
-        to and from what the parent is, with the parent's counters."""
+        to and from what the parent is, with the parent's counter columns."""
         bid = len(self.blocks)
-        for row in self.rel:
+        # Every row holding the parent: ``block_of`` would miss the rows of
+        # parents split earlier by the same splitter, not yet recounted.
+        for row, brow in zip(self.rel, self.bcount):
             row.append(row[parent])
-        for crow in self.count:
-            crow.append(crow[parent])
-        for brow in self.bcount:
-            brow.append(brow[parent])
+            if parent in brow:
+                brow[bid] = brow[parent]
         self.rel.append(bytearray(self.rel[parent]))
-        self.bcount.append(list(self.bcount[parent]))
+        self.count.append(dict(self.count[parent]))
+        self.bcount.append({})
         self.blocks.append(_Block(begin, end))
         self.dirty.append(self.dirty[parent])
         return bid
@@ -236,26 +239,21 @@ class RefinementEngine:
 
     def _init_counters(self) -> None:
         count, bcount, rel = self.count, self.bcount, self.rel
-        bo = self.block_of
-        for y in range(self.k.num_states):
-            by = bo[y]
-            for x in self.k.predecessors[y]:
-                crow = count[x]
-                for c in self.order:
-                    if rel[c][by]:
-                        crow[c] += 1
+        bo, pred = self.block_of, self.k.predecessors
         for c in self.order:
-            for x in range(self.k.num_states):
-                bcount[bo[x]][c] += count[x][c]
+            count[c] = col = dict(Counter(x for y in self.image(c) for x in pred[y]))
+            for x, v in col.items():
+                brow = bcount[bo[x]]
+                brow[c] = brow.get(c, 0) + v
         for b in self.order:
-            blk = self.blocks[b]
-            blk.local_bottoms = [x for x in self.members(b) if count[x][b] == 0]
+            blk, col = self.blocks[b], count[b]
+            blk.local_bottoms = [x for x in self.members(b) if x not in col]
             blk.bottom_blocks = [
                 c
                 for c in self.order
                 if c != b
                 and rel[b][c]
-                and any(count[x][b] == 0 for x in self.members(c))
+                and any(x not in col for x in self.members(c))
             ]
             for c in blk.bottom_blocks:
                 self.blocks[c].held_by.add(b)
@@ -317,39 +315,41 @@ class RefinementEngine:
         """First block pair (B, C) whose candidate sets still need work.
 
         Scans target blocks in list order and, per target, the blocks
-        holding a predecessor of it in list order; the reverse
-        topological block order guarantees that every pair above the
-        current one was already cleared, which is what makes the two
-        bottom-state conditions a complete characterization.
+        holding a predecessor of it in list order; the reverse topological
+        block order guarantees that every pair above the current one was
+        already cleared, which is what makes the two bottom-state
+        conditions a complete characterization.  A zero counter is an
+        absent key, so both conditions are membership tests.
 
         A target whose scan finds no pair is flagged clean and skipped
         until a write can give it one; the returned target and those
         after it keep their flags.  The writes that can are marked
         where they happen: ``refine`` pruning the relation row of ``c``
-        (which also lowers its ``count`` and ``bcount`` columns),
-        ``update`` lowering a ``bcount[d][c]`` to zero, and a block's
-        bottom lists gaining an entry other than its split sibling,
-        which marks every target the block steps into.  A split itself
-        keeps every candidate set: a new block takes its parent's flag,
-        and a block that now steps into a target did so before inside
-        its parent, with the parent's bottom states.  So a call costs
-        one flag test per block plus, per dirty target, one pass over
-        its predecessors and a sort of the blocks that pass hits.
+        (which also lowers its counter columns), ``update`` dropping the
+        ``c`` entry of a ``bcount`` row, and a block's bottom lists
+        gaining an entry other than its split sibling, which marks every
+        target the block steps into.  A split itself keeps every
+        candidate set: a new block takes its parent's flag, and a block
+        that now steps into a target did so before inside its parent,
+        with the parent's bottom states.  So a call costs one flag test
+        per block plus, per dirty target, one pass over its predecessors
+        and a sort of the blocks that pass hits.
         """
         rel, count, bcount, dirty = self.rel, self.count, self.bcount, self.dirty
         bo, pred, blocks = self.block_of, self.k.predecessors, self.blocks
         for c in compress(self.order, map(dirty.__getitem__, self.order)):
             self.targets_visited += 1
             hit = {bo[x] for y in self.members(c) for x in pred[y]}
+            col = count[c]
             # blocks lie in list order along the state list
             for b in sorted(hit, key=lambda b: blocks[b].begin):
                 blk = blocks[b]
                 if not rel[c][b]:
                     for s in blk.local_bottoms:
-                        if count[s][c] == 0:
+                        if s not in col:
                             return (b, c)
                 for d in blk.bottom_blocks:
-                    if not rel[c][d] and bcount[d][c] == 0:
+                    if not rel[c][d] and c not in bcount[d]:
                         return (b, c)
             dirty[c] = 0
         return None
@@ -410,9 +410,9 @@ class RefinementEngine:
         Candidate sets are unchanged at this point, so the counters each
         new block copied from its parent stay right, except the BCount
         rows of the two parts: the parent's redistribute between them.
-        Work is proportional to the smaller part's rows and to the
-        blocks whose bottom-block lists hold a split parent.  ``pairs``
-        are the ``(parent, new block)`` pairs that ``split`` returns."""
+        Work is proportional to the smaller part times the parent row's
+        entries, and to the blocks whose bottom-block lists hold a split
+        parent.  ``pairs`` are the ``(parent, new block)`` pairs of ``split``."""
         count, bcount, dirty, blocks = self.count, self.bcount, self.dirty, self.blocks
         for p, i in pairs:
             blk_i, blk_p = blocks[i], blocks[p]
@@ -421,15 +421,13 @@ class RefinementEngine:
             else:
                 small, large = p, i
             # The parent's row is the sum of the two parts' rows.
-            part = list(map(sum, zip(*[count[x] for x in self.members(small)])))
-            bcount[large] = list(map(sub, bcount[p], part))
+            ms, row = self.members(small), bcount[p]
+            part = {c: v for c in row if (v := sum(map(count[c].get, ms, repeat(0))))}
+            bcount[large] = {c: d for c, v in row.items() if (d := v - part.get(c, 0))}
             bcount[small] = part
-            # Row p changed where row i is nonzero; where it fell to zero
-            # the target may now have a pair through p.
-            kept = bcount[p]
-            for c in compress(range(len(kept)), bcount[i]):
-                if not kept[c]:
-                    dirty[c] = 1
+            # A target that only row i holds now may have a pair through p.
+            for c in bcount[i].keys() - bcount[p].keys():
+                dirty[c] = 1
         # Bottom states of the (unchanged) candidate set merely
         # redistribute between the two parts.
         bo = self.block_of
@@ -449,11 +447,11 @@ class RefinementEngine:
         for p, i in pairs:
             blk_p = blocks[p]
             for b in sorted(blk_p.held_by):
-                bb = blocks[b].bottom_blocks
-                if not any(count[x][b] == 0 for x in self.members(p)):
+                bb, col = blocks[b].bottom_blocks, count[b]
+                if all(x in col for x in self.members(p)):
                     bb.remove(p)
                     blk_p.held_by.discard(b)
-                if any(count[x][b] == 0 for x in self.members(i)):
+                if any(x not in col for x in self.members(i)):
                     bb.append(i)
                     blocks[i].held_by.add(b)
                     self._mark_targets(b)
@@ -473,9 +471,9 @@ class RefinementEngine:
         """Prune the relation against a splitter that is now a union of
         blocks: a block inside the splitter keeps only its in-splitter
         superiors.  Counters are decremented per removed transition
-        target, and states whose counter hits zero are recorded as new
-        bottom states (in their own block's list when they sit in the
-        pruned block itself, otherwise in its bottom-block list)."""
+        target; one that hits zero loses its entry, and its state is
+        recorded as a new bottom state (in its own block's list when it
+        sits in the pruned block itself, else in its bottom-block list)."""
         bo = self.block_of
         splitter_blocks = dict.fromkeys(bo[x] for x in s_list)
         count, bcount, blocks = self.count, self.bcount, self.blocks
@@ -488,34 +486,37 @@ class RefinementEngine:
             if not pruned:
                 continue
             self.dirty[b] = 1
-            blk_b = blocks[b]
+            blk_b, col = blocks[b], count[b]
             lb, bb = blk_b.local_bottoms, blk_b.bottom_blocks
             gained = False
             for c in pruned:
                 row[c] = 0
-                removed = self.members(c)
-                for y in removed:
-                    for x in pred[y]:
-                        count[x][b] -= 1
-                        bcount[bo[x]][b] -= 1
                 if c in bb:
                     bb.remove(c)
                     blocks[c].held_by.discard(b)
-                for y in removed:
+                for y in self.members(c):
                     for x in pred[y]:
-                        if count[x][b]:
-                            continue
                         bx = bo[x]
+                        brow = bcount[bx]
+                        if brow[b] > 1:
+                            brow[b] -= 1
+                        else:
+                            del brow[b]
+                        if col[x] > 1:
+                            col[x] -= 1
+                            continue
+                        del col[x]
                         if bx == b:
-                            if x not in lb:
-                                lb.append(x)
-                                gained = True
+                            lb.append(x)
+                            gained = True
                         elif row[bx] and bx not in bb:
                             bb.append(bx)
                             blocks[bx].held_by.add(b)
                             gained = True
             if gained:
                 self._mark_targets(b)
+            # A dict keeps its size when keys are deleted; rebuild it.
+            count[b] = dict(col)
 
     # -- main loop ----------------------------------------------------------
 
@@ -642,15 +643,14 @@ class RefinementEngine:
             for c in order:
                 if rel[b][c]:
                     mu[b].update(self.members(c))
-        bo = self.block_of
-        for x in range(n):
-            for c in order:
-                expected = sum(1 for y in self.k.successors[x] if rel[c][bo[y]])
-                assert count[x][c] == expected, f"Count({x},{c}) drifted"
+        # Whole dicts are compared, so a stored zero fails too.
+        bo, succ = self.block_of, self.k.successors
+        for c in order:
+            col = {x: sum(rel[c][bo[y]] for y in succ[x]) for x in range(n)}
+            assert count[c] == {x: v for x, v in col.items() if v}, f"Count({c}) drifted"
         for b in order:
-            for c in order:
-                expected = sum(count[x][c] for x in self.members(b))
-                assert bcount[b][c] == expected, f"BCount({b},{c}) drifted"
+            row = {c: sum(count[c].get(x, 0) for x in self.members(b)) for c in order}
+            assert bcount[b] == {c: v for c, v in row.items() if v}, f"BCount({b}) drifted"
         for b in order:
             blk = self.blocks[b]
             expect_lb = {
@@ -676,10 +676,10 @@ class RefinementEngine:
                 continue
             for b in {bo[x] for y in self.members(c) for x in pred[y]}:
                 blk = self.blocks[b]
-                assert rel[c][b] or all(count[s][c] for s in blk.local_bottoms), (
+                assert rel[c][b] or all(s in count[c] for s in blk.local_bottoms), (
                     f"clean target {c} has a refiner pair from {b}"
                 )
-                assert all(rel[c][d] or bcount[d][c] for d in blk.bottom_blocks), (
+                assert all(rel[c][d] or c in bcount[d] for d in blk.bottom_blocks), (
                     f"clean target {c} has a refiner pair from {b}"
                 )
         if self._oracle_pairs is None:

@@ -43,7 +43,7 @@ def test_initialize_f2_counters(f2):
     expected = {(0, b_q): 1, (0, b_r): 1, (3, b_q): 1}
     for x in range(5):
         for c in e.order:
-            assert e.count[x][c] == expected.get((x, c), 0)
+            assert e.count[c].get(x, 0) == expected.get((x, c), 0)
     assert e.blocks[b_p].local_bottoms == [0, 3]
     assert e.blocks[b_q].local_bottoms == [1, 4]
     for b in e.order:
@@ -56,7 +56,7 @@ def test_initialize_no_transitions_all_bottom():
     e = RefinementEngine(k)
     for x in range(4):
         for c in e.order:
-            assert e.count[x][c] == 0
+            assert x not in e.count[c]
     for b in e.order:
         assert e.blocks[b].local_bottoms == e.members(b)
 
@@ -207,9 +207,9 @@ def test_splitting_procedure_f2_creates_mutual_pair(f2):
 
 def test_update_empty_is_noop(f2):
     e = RefinementEngine(f2)
-    counts = [list(row) for row in e.count]
+    counts = [dict(col) for col in e.count]
     e.update([])
-    assert [list(row) for row in e.count] == counts
+    assert [dict(col) for col in e.count] == counts
 
 
 def test_update_f2_bookkeeping(f2):
@@ -221,9 +221,9 @@ def test_update_f2_bookkeeping(f2):
     assert e.blocks[new].local_bottoms == [0]
     assert e.blocks[parent].local_bottoms == [3]
     assert e.bcount[new][b_r] == 1
-    assert e.bcount[parent][b_r] == 0
+    assert b_r not in e.bcount[parent]
     for x in range(5):
-        assert e.count[x][new] == e.count[x][parent]
+        assert e.count[new].get(x, 0) == e.count[parent].get(x, 0)
     # sibling halves hold each other's bottom states
     assert e.blocks[new].bottom_blocks == [parent]
     assert e.blocks[parent].bottom_blocks == [new]
@@ -311,9 +311,15 @@ def test_run_matches_oracle(seed):
     assert compute_preorder(k).state_pairs() == naive_stuttering_simulation(k)
 
 
-@pytest.mark.parametrize("seed", range(25))
+@pytest.mark.parametrize("seed", range(35))
 def test_run_debug_invariants(seed):
-    k = generate_random_ks(12_000 + seed, 2 + seed % 12, 0.3, 1 + seed % 4)
+    if seed < 25:
+        k = generate_random_ks(12_000 + seed, 2 + seed % 12, 0.3, 1 + seed % 4)
+    else:
+        # Sparse models of 40-58 states: one splitter splits several
+        # parents, and counter columns are copied while still large.
+        n = 40 + 2 * (seed - 25)
+        k = generate_random_ks(seed, n, 2 / n, 4)
     compute_preorder(k, debug=True)
 
 
@@ -343,9 +349,9 @@ def _first_refiner(e: RefinementEngine) -> tuple[int, int] | None:
             ):
                 continue
             blk = e.blocks[b]
-            if not e.rel[c][b] and any(e.count[s][c] == 0 for s in blk.local_bottoms):
+            if not e.rel[c][b] and any(s not in e.count[c] for s in blk.local_bottoms):
                 return (b, c)
-            if any(not e.rel[c][d] and e.bcount[d][c] == 0 for d in blk.bottom_blocks):
+            if any(not e.rel[c][d] and c not in e.bcount[d] for d in blk.bottom_blocks):
                 return (b, c)
     return None
 
@@ -412,6 +418,15 @@ def test_sparse_300_pins_refiner_sequence():
     assert (stats.iterations, stats.blocks_created, stats.final_blocks) == (410, 450, 229)
     assert stats.targets_visited == 1088
     assert check_preorder(k, result.state_pairs()).accepted
+
+
+def test_sparse_300_tables_hold_only_nonzero_entries():
+    # A zero counter is an absent key, so the tables hold exactly the
+    # nonzero entries (a dense layout holds n * m and m * m).
+    e = RefinementEngine(generate_random_ks(7, 300, 2 / 300, 4))
+    e.run()
+    assert sum(map(len, e.count)) == 2141
+    assert sum(map(len, e.bcount)) == 2070
 
 
 @pytest.mark.parametrize("seed", range(30))
