@@ -15,10 +15,14 @@ from __future__ import annotations
 
 import random
 import re
+from itertools import chain
+from operator import itemgetter
+from typing import Iterable, NoReturn
 
 from .model import KripkeStructure, SimulationResult, ValidationError
 
 _ATOM_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\Z")
+_atoms = itemgetter(slice(2, None))  # of a label line
 
 
 class ParseError(ValueError):
@@ -28,25 +32,25 @@ class ParseError(ValueError):
         self.column = column
 
 
+def _token_lines(text: str) -> list[list[str]]:
+    """The tokens of every line, ``#`` comments stripped."""
+    lines = text.splitlines()
+    if "#" in text:
+        lines = [line.split("#", 1)[0] for line in lines]
+    return list(map(str.split, lines))
+
+
 def _content_lines(text: str) -> list[tuple[int, list[str]]]:
     """Non-empty lines as (line number, tokens)."""
-    out = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        tokens = raw.split("#", 1)[0].split()
-        if tokens:
-            out.append((lineno, tokens))
-    return out
+    return [(i, t) for i, t in enumerate(_token_lines(text), 1) if t]
 
 
 def _error(text: str, message: str, lineno: int, index: int) -> ParseError:
     """ParseError at the start column of token ``index`` of line
     ``lineno``, found by rescanning that line."""
     body = text.splitlines()[lineno - 1].split("#", 1)[0]
-    tokens = body.split()
-    pos = 0
-    for tok in tokens[:index]:
-        pos = body.index(tok, pos) + len(tok)
-    return ParseError(message, lineno, body.index(tokens[index], pos) + 1)
+    starts = [token.start() for token in re.finditer(r"\S+", body)]
+    return ParseError(message, lineno, starts[index] + 1)
 
 
 def _parse_int(text: str, lineno: int, tokens: list[str], index: int, what: str) -> int:
@@ -72,61 +76,90 @@ def _state_pair(
     return u, v
 
 
+def _in_range(pairs: Iterable[tuple[int, int]], n: int) -> bool:
+    ids = chain.from_iterable
+    return min(ids(pairs), default=0) >= 0 and max(ids(pairs), default=-1) < n
+
+
+def _model(lines: list[list[str]]) -> KripkeStructure | None:
+    """The model of well-formed token lines, checked a section at a time
+    in bulk; None when any check fails.  Equal labels share one
+    frozenset."""
+    try:
+        keyword, count = lines[0]
+        n = int(count)
+        if keyword != "states" or not 0 <= n <= len(lines) - 2:
+            return None
+        keyword, count = lines[n + 1]
+        if keyword != "transitions" or int(count) != len(lines) - n - 2:
+            return None
+        label_lines = lines[1 : n + 1]
+        ids = map(int, map(itemgetter(1), label_lines))
+        atoms_of = dict(zip(ids, map(tuple, map(_atoms, label_lines))))
+        transitions = [(int(u), int(v)) for u, v in lines[n + 2 :]]
+    except (ValueError, IndexError):
+        return None
+    distinct = set(atoms_of.values())
+    if (
+        set(map(itemgetter(0), label_lines)) - {"label"}
+        or atoms_of.keys() != set(range(n))  # ids are a permutation
+        or not all(map(_ATOM_RE.match, set().union(*distinct)))
+        or not _in_range(transitions, n)
+    ):
+        return None
+    shared = {lab: lab for lab in map(frozenset, distinct)}  # equal sets: one object
+    label_of = {atoms: shared[frozenset(atoms)] for atoms in distinct}
+    return KripkeStructure(n, transitions, [label_of[atoms_of[s]] for s in range(n)])
+
+
 def parse_ks(text: str) -> KripkeStructure:
     """Parse the model grammar; raises ParseError with line/column."""
+    model = _model(list(filter(None, _token_lines(text))))
+    if model is None:
+        _raise_model_error(text)
+    return model
+
+
+def _raise_model_error(text: str) -> NoReturn:
+    """Raise the first error of a model that failed the bulk checks."""
     lines = _content_lines(text)
     if not lines:
         raise ParseError("empty model file", 1)
-    cursor = 0
-
-    lineno, tokens = lines[cursor]
+    lineno, tokens = lines[0]
     if tokens[0] != "states" or len(tokens) != 2:
         raise _error(text, "expected 'states <N>'", lineno, 0)
     n = _parse_int(text, lineno, tokens, 1, "a state count")
     if n < 0:
         raise _error(text, "state count must be >= 0", lineno, 1)
-    cursor += 1
-
-    labels: list[list[str] | None] = [None] * n
-    for _ in range(n):
-        if cursor >= len(lines):
-            raise ParseError(f"expected {n} label lines", lineno)
-        lineno, tokens = lines[cursor]
+    declared: set[int] = set()  # nothing sized by n: it may be huge
+    for lineno, tokens in lines[1 : n + 1]:
         if tokens[0] != "label" or len(tokens) < 2:
             raise _error(text, "expected 'label <id> <atom>*'", lineno, 0)
         sid = _parse_int(text, lineno, tokens, 1, "a state id")
         if not 0 <= sid < n:
             raise _error(text, f"dangling state id {sid}", lineno, 1)
-        if labels[sid] is not None:
+        if sid in declared:
             raise _error(text, f"duplicate state declaration {sid}", lineno, 1)
+        declared.add(sid)
         for i in range(2, len(tokens)):
             if not _ATOM_RE.match(tokens[i]):
                 raise _error(text, f"invalid atom {tokens[i]!r}", lineno, i)
-        labels[sid] = tokens[2:]
-        cursor += 1
-
-    if cursor >= len(lines):
-        raise ParseError("expected 'transitions <M>'", lineno)
-    lineno, tokens = lines[cursor]
+    if len(lines) <= n + 1:
+        what = f"{n} label lines" if len(lines) <= n else "'transitions <M>'"
+        raise ParseError(f"expected {what}", lineno)
+    lineno, tokens = lines[n + 1]
     if tokens[0] != "transitions" or len(tokens) != 2:
         raise _error(text, "expected 'transitions <M>'", lineno, 0)
     m = _parse_int(text, lineno, tokens, 1, "a transition count")
     if m < 0:
         raise _error(text, "transition count must be >= 0", lineno, 1)
-    cursor += 1
-
-    transitions: list[tuple[int, int]] = []
-    for _ in range(m):
-        if cursor >= len(lines):
-            raise ParseError(f"expected {m} transition lines", lineno)
-        lineno, tokens = lines[cursor]
-        transitions.append(_state_pair(text, lineno, tokens, n, "'<src> <dst>'"))
-        cursor += 1
-
-    if cursor != len(lines):
-        lineno = lines[cursor][0]
-        raise _error(text, "unexpected content after transitions", lineno, 0)
-    return KripkeStructure(n, transitions, [lab or [] for lab in labels])
+    end = n + 2 + m
+    for lineno, tokens in lines[n + 2 : end]:
+        _state_pair(text, lineno, tokens, n, "'<src> <dst>'")
+    if len(lines) < end:
+        raise ParseError(f"expected {m} transition lines", lineno)
+    # The bulk checks failed, so something follows the transitions.
+    raise _error(text, "unexpected content after transitions", lines[end][0], 0)
 
 
 def serialize_ks(k: KripkeStructure) -> str:
@@ -159,10 +192,15 @@ def serialize_result(result: SimulationResult, full: bool = False) -> str:
 
 def parse_relation(text: str, k: KripkeStructure) -> set[tuple[int, int]]:
     """Parse 'u v' lines into a relation; duplicates are ignored."""
-    return {
+    try:
+        pairs = {(int(u), int(v)) for u, v in filter(None, _token_lines(text))}
+        if _in_range(pairs, k.num_states):
+            return pairs
+    except ValueError:
+        pass
+    for lineno, tokens in _content_lines(text):  # raises at the first error
         _state_pair(text, lineno, tokens, k.num_states, "'<u> <v>'")
-        for lineno, tokens in _content_lines(text)
-    }
+    raise AssertionError("the bulk and per-line relation checks disagree")
 
 
 def generate_random_ks(

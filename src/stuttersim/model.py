@@ -51,9 +51,7 @@ class KripkeStructure:
                 f"expected {num_states} labels, got {len(labels)}"
             )
         self.num_states = num_states
-        self.labels: tuple[frozenset[str], ...] = tuple(
-            frozenset(lab) for lab in labels
-        )
+        self.labels: tuple[frozenset[str], ...] = tuple(map(frozenset, labels))
         succ: list[list[int]] = [[] for _ in range(num_states)]
         for s, t in transitions:
             if not (0 <= s < num_states and 0 <= t < num_states):

@@ -94,13 +94,13 @@ def collapse_inert_sccs(
     ``block_of``.  Labels are inherited from the representative (least
     member); transitions are the existential lift with every resulting
     inert self-loop removed, so the output has no inert SCC at all.
-    When every inert SCC is a single state without a self-loop, nothing
-    collapses and ``k`` itself is returned with the identity map.
+    When a topological sort orders every state (no inert cycle or
+    self-loop), ``k`` itself is returned with the identity map.
     """
     n = k.num_states
-    sccs = strongly_connected_components(k.successors, block_of, range(n))
-    if len(sccs) == n and not any(s in k.successors[s] for s in range(n)):
+    if len(topological_order(k.successors, block_of)) == n:
         return k, CollapseMap(list(range(n)), [[s] for s in range(n)])
+    sccs = strongly_connected_components(k.successors, block_of, range(n))
     sccs.sort(key=lambda c: c[0])
     representative = [0] * n
     for new_id, comp in enumerate(sccs):

@@ -1,3 +1,4 @@
+import gc
 import json
 import os
 import subprocess
@@ -7,6 +8,7 @@ from pathlib import Path
 import pytest
 
 import stuttersim
+import stuttersim.cli
 from stuttersim import compute_preorder, parse_ks
 from stuttersim.cli import cli_main
 
@@ -256,6 +258,40 @@ def test_parse_error_exit_code(tmp_path, capsys):
     bad.write_text("states x\n")
     assert cli_main(["compute", str(bad)]) == 2
     assert "error:" in capsys.readouterr().err
+
+
+def test_huge_state_count_exit_code(tmp_path, capsys):
+    """A header larger than memory is a parse error, not a crash."""
+    bad = tmp_path / "huge.ks"
+    bad.write_text("states 100000000000000\nlabel 0 p\n")
+    assert cli_main(["compute", str(bad)]) == 2
+    err = capsys.readouterr().err
+    assert "line 2, column 1: expected 100000000000000 label lines" in err
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+def test_cli_main_leaves_gc_as_found(f2_file, capsys, enabled):
+    was = gc.isenabled()
+    (gc.enable if enabled else gc.disable)()
+    try:
+        assert cli_main(["compute", f2_file]) == 0
+        assert gc.isenabled() is enabled
+    finally:
+        (gc.enable if was else gc.disable)()
+
+
+def test_main_runs_without_cyclic_gc(f2_file, capsys, monkeypatch):
+    """The process entry point turns the cyclic collector off."""
+    was = gc.isenabled()
+    gc.enable()
+    monkeypatch.setattr(sys, "argv", ["stuttersim", "compute", f2_file])
+    try:
+        with pytest.raises(SystemExit) as exc:
+            stuttersim.cli.main()
+        assert exc.value.code == 0
+        assert not gc.isenabled()
+    finally:
+        (gc.enable if was else gc.disable)()
 
 
 def test_missing_file_exit_code(capsys):

@@ -40,8 +40,36 @@ def test_round_trip_ignores_comments(f1):
 
 @pytest.mark.parametrize("seed", range(25))
 def test_round_trip_random(seed):
+    """The canonical text and noisy variants of it parse to one model:
+    comments, CRLF line ends, tabs, blank lines between and inside the
+    sections, and label lines out of id order."""
     k = generate_random_ks(seed, 1 + seed % 9, 0.4, 1 + seed % 3)
-    assert parse_ks(serialize_ks(k)) == k
+    text = serialize_ks(k)
+    lines = text.splitlines()
+    n = k.num_states
+    head, labels, edges = lines[:1], lines[1 : n + 1], lines[n + 1 :]
+    variants = [
+        text,
+        "# model\n" + text.replace("\n", "  # note\n"),
+        text.replace("\n", "\r\n"),
+        text.replace(" ", "\t"),
+        "\n".join(head + [""] + labels + ["", "  ", "# edges"] + edges + ["\n"]),
+        "\n".join(head + labels[::-1] + edges[:1] + ["", *edges[1:]]) + "\n",
+    ]
+    for variant in variants:
+        assert parse_ks(variant) == k
+
+
+def test_parse_shares_equal_labels():
+    """Equal labels are one frozenset object, whatever the atom order."""
+    k = parse_ks(
+        "states 6\nlabel 0 p q\nlabel 1 q p\nlabel 2 p q q\nlabel 3\n"
+        "label 4 r\nlabel 5\ntransitions 0\n"
+    )
+    assert len(set(k.labels)) == 3
+    assert len({id(label) for label in k.labels}) == len(set(k.labels))
+    k = parse_ks(serialize_ks(generate_random_ks(3, 200, 0.01, 4)))
+    assert len({id(label) for label in k.labels}) == len(set(k.labels))
 
 
 def test_parse_dangling_transition_id():
@@ -171,6 +199,33 @@ _HEAD5 = "states 5\n" + "".join(f"label {s}\n" for s in range(5))
         (_HEAD5 + "transitions 1\n0  5\n", None, "dangling state id 5", 8, 4),
         (_HEAD + "transitions 0\n0 0  # trailing\n", None,
          "unexpected content after transitions", 4, 1),
+        # A huge count fails on the missing lines, allocating nothing.
+        ("states 100000000000000\nlabel 0 p\n", None,
+         "expected 100000000000000 label lines", 2, 1),
+        (_HEAD + "transitions 100000000000000\n0 0\n", None,
+         "expected 100000000000000 transition lines", 4, 1),
+        # The first error in the file wins, whichever bulk check fails.
+        (_HEAD + "transitions 2\n0\n0 0 0\n", None, "expected '<src> <dst>'", 4, 1),
+        ("states 2\nlabel 1 p\nlabel 1 q\ntransitions 0\n", None,
+         "duplicate state declaration 1", 3, 7),
+        ("states 2\nlabel 0 9p\nlabel 5 p\ntransitions 0\n", None,
+         "invalid atom '9p'", 2, 9),
+        ("states 2\nlabel 5 p\nlabel 0 9p\ntransitions 0\n", None,
+         "dangling state id 5", 2, 7),
+        (_HEAD5 + "transitions 2\n0 x\n1 2 3\n", None,
+         "expected a state id, got 'x'", 8, 3),
+        (_HEAD5 + "transitions 2\n1 2 3\n0 x\n", None, "expected '<src> <dst>'", 8, 1),
+        (_HEAD5 + "transitions 2\n0 9\n0 x\n", None, "dangling state id 9", 8, 3),
+        # Comment-only and blank lines inside the sections.
+        ("# c\n\nstates 2\n# labels\nlabel 0 p\n\nlabel 0 q\n", None,
+         "duplicate state declaration 0", 7, 7),
+        ("states 3\nlabel 0 p\n# gap\n\nlabel 1 p\n", None,
+         "expected 3 label lines", 5, 1),
+        (_HEAD + "# c\n\n", None, "expected 'transitions <M>'", 2, 1),
+        (_HEAD + "\n# edges\ntransitions 2\n\n0 0\n  # x\n", None,
+         "expected 2 transition lines", 7, 1),
+        (_HEAD + "transitions 1\n# c\n\n 0 y # z\n", None,
+         "expected a state id, got 'y'", 6, 4),
         ("0 0\n1 2 0\n", 3, "expected '<u> <v>'", 2, 1),
         ("7\n", 3, "expected '<u> <v>'", 1, 1),
         ("# c\n  u 0\n", 3, "expected a state id, got 'u'", 2, 3),
@@ -178,6 +233,12 @@ _HEAD5 = "states 5\n" + "".join(f"label {s}\n" for s in range(5))
         ("3 0\n", 3, "dangling state id 3", 1, 1),
         ("0 \t 3\n", 3, "dangling state id 3", 1, 5),
         ("5 5\n", 3, "dangling state id 5", 1, 1),
+        ("0\n0 0 0\n", 3, "expected '<u> <v>'", 1, 1),
+        ("0 x\n1 2 3\n", 3, "expected a state id, got 'x'", 1, 3),
+        ("1 2 3\n0 x\n", 3, "expected '<u> <v>'", 1, 1),
+        ("0 9\n0 x\n", 3, "dangling state id 9", 1, 3),
+        ("# c\n\n0 1\n  # d\n\n2 x\n", 3, "expected a state id, got 'x'", 6, 3),
+        ("0 1\n\n# c\n1 3 # far\n", 3, "dangling state id 3", 4, 3),
     ],
 )
 def test_parse_error_positions(text, relation_states, message, line, column):
