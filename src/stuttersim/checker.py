@@ -9,17 +9,14 @@ the relation is a preorder.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .model import KripkeStructure, ValidationError
 from .model import validate_preorder as _validate_relation
 from .preprocess import strongly_connected_components
-from .reference import pos_naive
 
 
-@dataclass(frozen=True)
-class CheckVerdict:
+class CheckVerdict(NamedTuple):
     """Outcome of ``check_preorder``.
 
     On rejection exactly one witness is set: ``label_witness`` is a
@@ -121,6 +118,8 @@ def find_definition_violation(
     labels, or ``("move", x, y, z)`` when candidate ``z`` related to
     ``x`` cannot match the move ``x -> y`` by a stuttering path.
     """
+    from .reference import pos_naive  # only this route needs the oracle module
+
     rel_pairs = set(pairs)
     for s, t in rel_pairs:
         if not (0 <= s < k.num_states and 0 <= t < k.num_states):

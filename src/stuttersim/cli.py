@@ -8,12 +8,8 @@ Output on stdout is deterministic for a fixed input file.
 from __future__ import annotations
 
 import argparse
-import dataclasses
-import gc
 import sys
 
-from .checker import check_preorder, find_definition_violation
-from .engine import compute_preorder
 from .formats import (
     ParseError,
     generate_random_ks,
@@ -23,8 +19,25 @@ from .formats import (
     serialize_result,
 )
 from .model import KripkeStructure, NotAPreorderError, ValidationError, quotient
-from .reference import naive_stuttering_simulation
-from .selftest import golden_checks
+
+# Each command imports only the modules it runs, when it runs: without a
+# bytecode cache, every module a process loads is compiled first.
+# ``_cmd_compute`` and ``_cmd_check`` look these two names up at call
+# time, so a caller may replace them on this module.
+
+
+def compute_preorder(*args, **kwargs):
+    """``engine.compute_preorder``; the first call imports the engine."""
+    from .engine import compute_preorder
+
+    return compute_preorder(*args, **kwargs)
+
+
+def check_preorder(*args, **kwargs):
+    """``checker.check_preorder``; the first call imports the checker."""
+    from .checker import check_preorder
+
+    return check_preorder(*args, **kwargs)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -97,10 +110,12 @@ def _cmd_compute(args: argparse.Namespace) -> int:
 
     result = compute_preorder(k, trace=trace)
     if args.stats:
-        import json  # here, so that other runs do not pay for loading it
+        import json
 
-        print(json.dumps(dataclasses.asdict(result.stats)), file=sys.stderr)
+        print(json.dumps(result.stats._asdict()), file=sys.stderr)
     if args.oracle:
+        from .reference import naive_stuttering_simulation
+
         if result.state_pairs() != naive_stuttering_simulation(k):
             print("oracle cross-check failed", file=sys.stderr)
             return 1
@@ -147,6 +162,8 @@ def _cmd_check(args: argparse.Namespace) -> int:
                     + f"}} but candidate state {state} cannot follow"
                 )
             return 1
+    from .checker import find_definition_violation
+
     violation = find_definition_violation(k, pairs)
     if violation is None:
         print("accepted")
@@ -169,6 +186,8 @@ def _cmd_generate(args: argparse.Namespace) -> int:
 
 
 def _cmd_selftest() -> int:
+    from .selftest import golden_checks
+
     failed = False
     for name, ok, detail in golden_checks():
         status = "PASS" if ok else "FAIL"
@@ -199,5 +218,7 @@ def cli_main(argv: list[str]) -> int:
 def main() -> None:
     # One run per process, and its data has no reference cycles, so the
     # cyclic GC would only rescan fresh lists; ``cli_main`` leaves it on.
+    import gc
+
     gc.disable()
     sys.exit(cli_main(sys.argv[1:]))

@@ -13,7 +13,6 @@ the refiner search correct.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass, field
 from itertools import compress, repeat
 from typing import Callable, Iterable, Sequence
 
@@ -39,14 +38,16 @@ CandidatePR = tuple[Sequence[Sequence[int]], Iterable[tuple[int, int]]]
 TraceHook = Callable[[int, tuple[int, int], int, int], None]
 
 
-@dataclass
 class _Block:
-    begin: int
-    end: int
-    local_bottoms: list[int] = field(default_factory=list)
-    bottom_blocks: list[int] = field(default_factory=list)
-    # The blocks whose ``bottom_blocks`` hold this one.
-    held_by: set[int] = field(default_factory=set)
+    __slots__ = ("begin", "end", "local_bottoms", "bottom_blocks", "held_by")
+
+    def __init__(self, begin: int, end: int):
+        self.begin = begin
+        self.end = end
+        self.local_bottoms: list[int] = []
+        self.bottom_blocks: list[int] = []
+        # The blocks whose ``bottom_blocks`` hold this one.
+        self.held_by: set[int] = set()
 
 
 def _validate_candidate(
@@ -153,7 +154,11 @@ class RefinementEngine:
         for i, members in enumerate(blocks0):
             for s in members:
                 block_of0[s] = i
-        self.k, self.collapse = collapse_inert_sccs(k, block_of0)
+        # One least-first Kahn serves the collapse and, when nothing
+        # collapses, the state sort: it reads the grouping only through
+        # equality, and the sort's classes are this same partition.
+        topo = topological_order(k.successors, block_of0)
+        self.k, self.collapse = collapse_inert_sccs(k, block_of0, topo)
         n = self.k.num_states
         m = len(blocks0)
 
@@ -168,7 +173,9 @@ class RefinementEngine:
         for s, b in enumerate(self.block_of):
             coll_members[b].append(s)
         self.state_list: list[int] = sort_states_locally_topological(
-            self.k, [coll_members[b] for b in self.order]
+            self.k,
+            [coll_members[b] for b in self.order],
+            topo if self.k is k else None,
         )
         self.position = [0] * n
         for i, s in enumerate(self.state_list):

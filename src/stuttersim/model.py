@@ -6,9 +6,8 @@ atomic-proposition names; label equality is set equality.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 
 class ValidationError(ValueError):
@@ -195,8 +194,7 @@ def quotient(
     return KripkeStructure(len(order), edges, labels)
 
 
-@dataclass(frozen=True)
-class RunStats:
+class RunStats(NamedTuple):
     """Bookkeeping from one refinement run (post-collapse quantities).
 
     ``targets_visited`` counts the target blocks that refiner search
@@ -210,7 +208,6 @@ class RunStats:
     targets_visited: int
 
 
-@dataclass
 class SimulationResult:
     """Stuttering simulation preorder over the original states.
 
@@ -218,13 +215,35 @@ class SimulationResult:
     by least member); ``preorder`` holds block-index pairs ``(i, j)``
     meaning every state of block ``j`` stuttering-simulates every state
     of block ``i``.  ``preorder`` is reflexive and transitive, and is
-    antisymmetric on block indices.
+    antisymmetric on block indices.  ``stats`` is left out of equality.
     """
 
-    blocks: list[list[int]]
-    preorder: frozenset[tuple[int, int]]
-    block_of: list[int]
-    stats: RunStats | None = field(default=None, compare=False)
+    def __init__(
+        self,
+        blocks: list[list[int]],
+        preorder: frozenset[tuple[int, int]],
+        block_of: list[int],
+        stats: RunStats | None = None,
+    ):
+        self.blocks = blocks
+        self.preorder = preorder
+        self.block_of = block_of
+        self.stats = stats
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.blocks, self.preorder, self.block_of) == (
+            other.blocks,
+            other.preorder,
+            other.block_of,
+        )
+
+    def __repr__(self) -> str:
+        return (
+            f"SimulationResult(blocks={self.blocks!r}, preorder={self.preorder!r}, "
+            f"block_of={self.block_of!r}, stats={self.stats!r})"
+        )
 
     def related(self, x: int, y: int) -> bool:
         """True iff ``y`` stuttering-simulates ``x``."""

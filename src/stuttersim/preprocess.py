@@ -8,15 +8,13 @@ block preorder.  Everything here is a pure function.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from heapq import heappop, heappush
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, NamedTuple, Sequence
 
 from .model import KripkeStructure, ValidationError
 
 
-@dataclass
-class CollapseMap:
+class CollapseMap(NamedTuple):
     """Mapping between original states and collapsed states."""
 
     representative: list[int]
@@ -86,7 +84,7 @@ def strongly_connected_components(
 
 
 def collapse_inert_sccs(
-    k: KripkeStructure, block_of: Sequence[int]
+    k: KripkeStructure, block_of: Sequence[int], topo: list[int] | None = None
 ) -> tuple[KripkeStructure, CollapseMap]:
     """Collapse every SCC of inert transitions to a single state.
 
@@ -96,9 +94,12 @@ def collapse_inert_sccs(
     inert self-loop removed, so the output has no inert SCC at all.
     When a topological sort orders every state (no inert cycle or
     self-loop), ``k`` itself is returned with the identity map.
+    ``topo``, if given, is ``topological_order(k.successors, block_of)``.
     """
     n = k.num_states
-    if len(topological_order(k.successors, block_of)) == n:
+    if topo is None:
+        topo = topological_order(k.successors, block_of)
+    if len(topo) == n:
         return k, CollapseMap(list(range(n)), [[s] for s in range(n)])
     sccs = strongly_connected_components(k.successors, block_of, range(n))
     sccs.sort(key=lambda c: c[0])
@@ -142,7 +143,9 @@ def topological_order(
 
 
 def sort_states_locally_topological(
-    k: KripkeStructure, classes: Sequence[Sequence[int]]
+    k: KripkeStructure,
+    classes: Sequence[Sequence[int]],
+    topo: list[int] | None = None,
 ) -> list[int]:
     """Permutation of the states, contiguous per class and in class
     order, such that no transition inside a class goes backwards in the
@@ -151,15 +154,18 @@ def sort_states_locally_topological(
     Only edges inside a class constrain the order, so one topological
     sort of that subgraph followed by a stable sort by class suffices.
     Raises ValidationError if a cycle inside a class remains (the
-    structure was not collapsed first).
+    structure was not collapsed first).  ``topo``, if given, is a
+    complete ``topological_order`` under a grouping with these classes,
+    and is used as the sort.
     """
     class_of = [0] * k.num_states
     for ci, members in enumerate(classes):
         for s in members:
             class_of[s] = ci
-    topo = topological_order(k.successors, class_of)
-    if len(topo) != k.num_states:
-        raise ValidationError("inert cycle detected; collapse SCCs first")
+    if topo is None:
+        topo = topological_order(k.successors, class_of)
+        if len(topo) != k.num_states:
+            raise ValidationError("inert cycle detected; collapse SCCs first")
     return sorted(topo, key=class_of.__getitem__)  # stable: keeps topo order
 
 

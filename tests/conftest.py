@@ -1,7 +1,10 @@
+import os
 import random
+from pathlib import Path
 
 import pytest
 
+import stuttersim
 from stuttersim import KripkeStructure
 
 
@@ -82,3 +85,20 @@ def random_graph(rng: random.Random) -> tuple[int, list[list[int]], list[int]]:
     ]
     group = [rng.randrange(2) for _ in range(n)]
     return n, successors, group
+
+
+def child_env(hashseed=None):
+    """Environment for a ``python -m stuttersim`` child process.
+
+    The child inherits this process's environment and imports the same
+    ``stuttersim`` copy, whether installed or not and whatever the current
+    directory; ``hashseed`` overrides ``PYTHONHASHSEED``.
+    """
+    env = dict(os.environ)
+    package_root = str(Path(stuttersim.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [package_root, env.get("PYTHONPATH")])
+    )
+    if hashseed is not None:
+        env["PYTHONHASHSEED"] = hashseed
+    return env

@@ -1,9 +1,8 @@
 import gc
+import importlib
 import json
-import os
 import subprocess
 import sys
-from pathlib import Path
 
 import pytest
 
@@ -11,6 +10,8 @@ import stuttersim
 import stuttersim.cli
 from stuttersim import compute_preorder, parse_ks
 from stuttersim.cli import cli_main
+
+from conftest import child_env
 
 F1_TEXT = """\
 states 5
@@ -56,23 +57,6 @@ transitions 6
 5 0
 5 4
 """
-
-
-def _child_env(hashseed=None):
-    """Environment for a ``python -m stuttersim`` child process.
-
-    The child inherits this process's environment and imports the same
-    ``stuttersim`` copy, whether installed or not and whatever the current
-    directory; ``hashseed`` overrides ``PYTHONHASHSEED``.
-    """
-    env = dict(os.environ)
-    package_root = str(Path(stuttersim.__file__).resolve().parents[1])
-    env["PYTHONPATH"] = os.pathsep.join(
-        filter(None, [package_root, env.get("PYTHONPATH")])
-    )
-    if hashseed is not None:
-        env["PYTHONHASHSEED"] = hashseed
-    return env
 
 
 @pytest.fixture
@@ -137,6 +121,10 @@ def test_compute_stats(f2_file, capsys):
     assert cli_main(["compute", f2_file, "--emit", "all", "--full", "--stats"]) == 0
     captured = capsys.readouterr()
     assert captured.out == plain
+    assert captured.err == (
+        '{"iterations": 1, "blocks_created": 2, "initial_blocks": 3, '
+        '"final_blocks": 4, "targets_visited": 5}\n'
+    )
     assert json.loads(captured.err) == {
         "iterations": 1,
         "blocks_created": 2,
@@ -157,7 +145,7 @@ def test_compute_byte_identical_across_processes(tmp_path):
     gen = subprocess.run(
         [sys.executable, "-m", "stuttersim", "generate", "--states", "9",
          "--density", "0.35", "--labels", "3", "--seed", "123"],
-        capture_output=True, text=True, env=_child_env(),
+        capture_output=True, text=True, env=child_env(),
     )
     assert gen.returncode == 0, gen.stderr
     # The generated model has one atom per state; the multi-atom one gives
@@ -170,7 +158,7 @@ def test_compute_byte_identical_across_processes(tmp_path):
             proc = subprocess.run(
                 [sys.executable, "-m", "stuttersim", "compute", str(model),
                  "--emit", "all", "--full"],
-                capture_output=True, env=_child_env(hashseed),
+                capture_output=True, env=child_env(hashseed),
             )
             assert proc.returncode == 0, proc.stderr
             outputs.append(proc.stdout)
@@ -301,3 +289,135 @@ def test_missing_file_exit_code(capsys):
 def test_usage_error_exit_code(capsys):
     assert cli_main(["frobnicate"]) == 2
     assert cli_main([]) == 2
+
+
+# -- what each command loads ----------------------------------------------
+
+# ``python -m stuttersim`` that reports, on its last stderr line, every
+# module loaded when it exits.
+LOADS_MAIN = """
+import atexit, runpy, sys
+atexit.register(lambda: sys.stderr.write("\\nmodules " + " ".join(sys.modules) + "\\n"))
+sys.argv[0] = "stuttersim"
+runpy.run_module("stuttersim", run_name="__main__", alter_sys=True)
+"""
+
+# Modules that a command must not load: each one costs its import, and,
+# with no bytecode cache, its compilation.
+NOT_FOR_COMPUTE = {
+    "stuttersim.checker", "stuttersim.reference", "stuttersim.selftest", "dataclasses",
+}
+NOT_FOR_CHECK = {
+    "stuttersim.engine", "stuttersim.reference", "stuttersim.selftest", "dataclasses",
+    "inspect",
+}
+
+
+def _loaded_by(*argv: str) -> tuple[int, set[str]]:
+    """Exit code of a fresh ``python -m stuttersim`` run and the modules it
+    loaded beyond those of a bare interpreter in the same environment."""
+    bare = subprocess.run(
+        [sys.executable, "-c", "import sys; print(' '.join(sys.modules))"],
+        capture_output=True, text=True, env=child_env(), check=True,
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", LOADS_MAIN, *argv],
+        capture_output=True, text=True, env=child_env(),
+    )
+    last = proc.stderr.rstrip("\n").rsplit("\n", 1)[-1]
+    assert last.startswith("modules "), proc.stderr
+    return proc.returncode, set(last.split()[1:]) - set(bare.stdout.split())
+
+
+@pytest.fixture
+def f2_relations(tmp_path):
+    """Relation files on F2: its preorder, the empty relation, and one
+    that is not a preorder."""
+    good = tmp_path / "good.rel"
+    good.write_text(
+        "".join(f"{u} {v}\n" for u, v in sorted(compute_preorder(parse_ks(F2_TEXT)).state_pairs()))
+    )
+    empty = tmp_path / "empty.rel"
+    empty.write_text("")
+    partial = tmp_path / "partial.rel"
+    partial.write_text("3 0\n")
+    return str(good), str(empty), str(partial)
+
+
+def test_compute_loads_no_checker_reference_or_dataclasses(f2_file):
+    code, loaded = _loaded_by("compute", f2_file, "--emit", "all", "--full", "--stats")
+    assert code == 0
+    assert "stuttersim.engine" in loaded
+    assert sorted(loaded & NOT_FOR_COMPUTE) == []
+
+
+def test_check_loads_no_engine_reference_or_dataclasses(f2_file, f2_relations):
+    code, loaded = _loaded_by("check", f2_file, "--relation", f2_relations[0])
+    assert code == 0
+    assert "stuttersim.checker" in loaded
+    assert sorted(loaded & NOT_FOR_CHECK) == []
+
+
+def test_generate_loads_neither_procedure():
+    code, loaded = _loaded_by(
+        "generate", "--states", "6", "--density", "0.3", "--labels", "2", "--seed", "9"
+    )
+    assert code == 0
+    assert sorted(loaded & (NOT_FOR_COMPUTE | NOT_FOR_CHECK)) == []
+
+
+@pytest.mark.parametrize(
+    "argv, code, module",
+    [
+        (["selftest"], 0, "stuttersim.selftest"),
+        (["compute", "{model}", "--oracle"], 0, "stuttersim.reference"),
+        (["check", "{model}", "--relation", "{empty}", "--definition"], 0, "stuttersim.reference"),
+        (["check", "{model}", "--relation", "{partial}"], 1, "stuttersim.reference"),
+    ],
+    ids=["selftest", "oracle", "definition", "not-a-preorder-fallback"],
+)
+def test_rarer_routes_load_their_modules(f2_file, f2_relations, argv, code, module):
+    _, empty, partial = f2_relations
+    argv = [a.format(model=f2_file, empty=empty, partial=partial) for a in argv]
+    got, loaded = _loaded_by(*argv)
+    assert got == code
+    assert module in loaded
+
+
+# -- names that callers patch ---------------------------------------------
+
+# ``bench/layers.py`` wraps these module attributes by name to time the
+# program's layers; renaming one hides its layer.
+PATCH_POINTS = {
+    "stuttersim.cli": [
+        "cli_main", "parse_ks", "parse_relation", "serialize_result", "serialize_ks",
+        "quotient", "compute_preorder", "check_preorder",
+    ],
+    "stuttersim.checker": ["_validate_relation", "_sink_components"],
+    "stuttersim.engine": ["collapse_inert_sccs", "sort_states_locally_topological"],
+}
+
+
+@pytest.mark.parametrize("module", sorted(PATCH_POINTS))
+def test_patch_points_exist(module):
+    mod = importlib.import_module(module)
+    for name in PATCH_POINTS[module]:
+        assert callable(mod.__dict__.get(name)), f"{module}.{name}"
+
+
+def test_patched_procedures_intercept_cli_main(f2_file, f2_relations, capsys, monkeypatch):
+    seen = []
+
+    def spy(name, fn):
+        def wrapped(*args, **kwargs):
+            seen.append(name)
+            return fn(*args, **kwargs)
+
+        return wrapped
+
+    cli = stuttersim.cli
+    monkeypatch.setattr(cli, "compute_preorder", spy("compute", cli.compute_preorder))
+    monkeypatch.setattr(cli, "check_preorder", spy("check", cli.check_preorder))
+    assert cli_main(["compute", f2_file]) == 0
+    assert cli_main(["check", f2_file, "--relation", f2_relations[0]]) == 0
+    assert seen == ["compute", "check"]

@@ -18,6 +18,7 @@ from stuttersim.preprocess import (
     is_reverse_topological,
     sort_states_locally_topological,
     strongly_connected_components,
+    topological_order,
 )
 
 from conftest import random_graph, reachable
@@ -149,6 +150,34 @@ def test_sort_states_random_property(seed):
     for members in classes:  # contiguous per label class
         span = sorted(positions[s] for s in members)
         assert span == list(range(span[0], span[0] + len(span)))
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_engine_reuses_the_collapse_sort(seed, monkeypatch):
+    """When nothing collapses, the engine's one least-first Kahn serves
+    both the collapse and the state sort, with the same state list as a
+    sort of its own would give."""
+
+    def no_kahn(*args):
+        raise AssertionError("a second topological sort")
+
+    rng = random.Random(seed)
+    n = 3 + seed % 8
+    labels = [[f"p{rng.randrange(3)}"] for _ in range(n)]
+    forward = [(s, t) for s in range(n) for t in range(s + 1, n) if rng.random() < 0.4]
+    back = [(t, s) for s, t in forward if labels[s] != labels[t]]
+    k = KripkeStructure(n, forward + back, labels)
+    classes = labeling_partition(k)
+    with monkeypatch.context() as patch:
+        patch.setattr(preprocess, "topological_order", no_kahn)
+        engine = RefinementEngine(k)
+    assert engine.k is k
+    topo = topological_order(k.successors, block_of(k))
+    expected = sort_states_locally_topological(k, [classes[b] for b in engine.order])
+    assert engine.state_list == expected
+    assert sort_states_locally_topological(k, classes, topo) == (
+        sort_states_locally_topological(k, classes)
+    )
 
 
 @pytest.mark.parametrize("seed", range(40))
