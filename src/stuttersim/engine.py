@@ -28,7 +28,6 @@ from .model import (
 from .preprocess import (
     collapse_inert_sccs,
     is_locally_topological,
-    is_reverse_topological,
     sort_states_locally_topological,
     strongly_connected_components,
     topological_order,
@@ -54,9 +53,10 @@ def _validate_candidate(
     k: KripkeStructure,
     blocks: Sequence[Sequence[int]],
     pairs: Iterable[tuple[int, int]],
-) -> tuple[list[list[int]], set[tuple[int, int]]]:
+) -> tuple[list[list[int]], list[set[int]]]:
     """The candidate with each class of mutually related blocks merged
-    into one block, so that its block relation is antisymmetric.
+    into one block, so that its block relation is antisymmetric, and
+    each merged block's up-set.
 
     A same-label cycle must lie inside one merged block: the engine
     collapses cycles within a block and orders the rest of the states
@@ -64,7 +64,6 @@ def _validate_candidate(
     """
     block_of = validate_partition(k, blocks)
     classes, class_of, ups = validate_preorder(len(blocks), pairs)
-    merged_pairs: set[tuple[int, int]] = set()
     for c, above in enumerate(ups):
         label = k.labels[blocks[classes[c][0]][0]]
         for j in above:
@@ -73,7 +72,6 @@ def _validate_candidate(
                     f"related blocks differ in label; offending block "
                     f"{sorted(blocks[j])}"
                 )
-            merged_pairs.add((c, class_of[j]))
     merged = [[s for i in members for s in blocks[i]] for members in classes]
     for comp in strongly_connected_components(k.successors, k.labels, k.states()):
         cut = sorted({class_of[block_of[s]] for s in comp})
@@ -82,30 +80,30 @@ def _validate_candidate(
                 f"candidate blocks {[sorted(merged[c]) for c in cut]} cut the "
                 f"same-label cycle through states {comp}"
             )
-    return merged, merged_pairs
+    return merged, [{class_of[j] for j in above} for above in ups]
 
 
 def _combined_block_order(
-    k: KripkeStructure,
-    m: int,
-    pairs: set[tuple[int, int]],
-    block_of: Sequence[int],
+    k: KripkeStructure, up: Sequence[set[int]], block_of: Sequence[int]
 ) -> list[int]:
     """Block list order satisfying both ordering invariants at once.
 
     A block below another must follow it (refiner search), and
     the source block of a same-label cross-block transition must precede
     the target block (one-pass reachability over the aligned state
-    list).  ``pairs`` must be antisymmetric, as a merged candidate's
-    are.  Both families are necessary, so a constraint cycle means no
-    valid configuration exists and the candidate relation is rejected.
+    list).  ``up[b]`` holds the blocks above ``b``; the relation must
+    be antisymmetric, as a merged candidate's is.  Both families are
+    necessary, so a constraint cycle means no valid configuration
+    exists and the candidate relation is rejected.
     Ties go to the least block id, so the default input, which
     induces no constraints, keeps the input order.
     """
+    m = len(up)
     succs: list[set[int]] = [set() for _ in range(m)]  # emitted-before sets
-    for i, j in pairs:
-        if i != j:
-            succs[j].add(i)  # i below j: j first
+    for i, above in enumerate(up):
+        for j in above:
+            if i != j:
+                succs[j].add(i)  # i below j: j first
     for s, t in k.transitions:
         bs, bt = block_of[s], block_of[t]
         if bs != bt and k.labels[s] == k.labels[t]:
@@ -146,9 +144,9 @@ class RefinementEngine:
         self.debug = debug
         if candidate is None:
             blocks0: list[list[int]] = labeling_partition(k)
-            pairs0 = {(i, i) for i in range(len(blocks0))}
+            up0 = [{i} for i in range(len(blocks0))]
         else:
-            blocks0, pairs0 = _validate_candidate(k, candidate[0], candidate[1])
+            blocks0, up0 = _validate_candidate(k, candidate[0], candidate[1])
 
         block_of0 = [0] * k.num_states
         for i, members in enumerate(blocks0):
@@ -166,9 +164,7 @@ class RefinementEngine:
         # identifiers allocated later by splits are never reused.  An
         # inert SCC lies inside one block.
         self.block_of = [block_of0[ms[0]] for ms in self.collapse.members]
-        self.order: list[int] = _combined_block_order(
-            self.k, m, pairs0, self.block_of
-        )
+        self.order: list[int] = _combined_block_order(self.k, up0, self.block_of)
         coll_members: list[list[int]] = [[] for _ in range(m)]
         for s, b in enumerate(self.block_of):
             coll_members[b].append(s)
@@ -190,10 +186,8 @@ class RefinementEngine:
         if not is_locally_topological(self.k, self.state_list):
             raise AssertionError("a backward same-label transition survived ordering")
 
-        # Square in the block ids; ``_new_block`` adds a column and a row.
-        self.rel: list[bytearray] = [bytearray(m) for _ in range(m)]
-        for i, j in pairs0:
-            self.rel[i][j] = 1
+        # up[b]: the blocks related above b, b included.
+        self.up: list[set[int]] = up0
         # Nonzero entries only: count[c][x] = |succ(x) & image(c)|, and
         # bcount[b][c] is its sum over the members of b.
         self.count: list[dict[int, int]] = [{} for _ in range(m)]
@@ -226,11 +220,12 @@ class RefinementEngine:
         bid = len(self.blocks)
         # Every row holding the parent: ``block_of`` would miss the rows of
         # parents split earlier by the same splitter, not yet recounted.
-        for row, brow in zip(self.rel, self.bcount):
-            row.append(row[parent])
+        for row, brow in zip(self.up, self.bcount):
+            if parent in row:
+                row.add(bid)
             if parent in brow:
                 brow[bid] = brow[parent]
-        self.rel.append(bytearray(self.rel[parent]))
+        self.up.append(set(self.up[parent]))
         self.count.append(dict(self.count[parent]))
         self.bcount.append({})
         self.blocks.append(_Block(begin, end))
@@ -245,7 +240,7 @@ class RefinementEngine:
                 dirty[bo[y]] = 1
 
     def _init_counters(self) -> None:
-        count, bcount, rel = self.count, self.bcount, self.rel
+        count, bcount, blocks = self.count, self.bcount, self.blocks
         bo, pred = self.block_of, self.k.predecessors
         for c in self.order:
             count[c] = col = dict(Counter(x for y in self.image(c) for x in pred[y]))
@@ -253,24 +248,23 @@ class RefinementEngine:
                 brow = bcount[bo[x]]
                 brow[c] = brow.get(c, 0) + v
         for b in self.order:
-            blk, col = self.blocks[b], count[b]
+            blk, col = blocks[b], count[b]
             blk.local_bottoms = [x for x in self.members(b) if x not in col]
             blk.bottom_blocks = [
                 c
-                for c in self.order
-                if c != b
-                and rel[b][c]
-                and any(x not in col for x in self.members(c))
+                for c in self.up[b]
+                if c != b and any(x not in col for x in self.members(c))
             ]
             for c in blk.bottom_blocks:
-                self.blocks[c].held_by.add(b)
+                blocks[c].held_by.add(b)
 
     # -- queries ------------------------------------------------------------
 
     def image(self, b: int) -> list[int]:
         """Members of every block above ``b``, in state-list order."""
+        blocks = self.blocks
         out: list[int] = []
-        for c in compress(self.order, map(self.rel[b].__getitem__, self.order)):
+        for c in sorted(self.up[b], key=lambda c: blocks[c].begin):
             out.extend(self.members(c))
         return out
 
@@ -331,7 +325,7 @@ class RefinementEngine:
         A target whose scan finds no pair is flagged clean and skipped
         until a write can give it one; the returned target and those
         after it keep their flags.  The writes that can are marked
-        where they happen: ``refine`` pruning the relation row of ``c``
+        where they happen: ``refine`` pruning the up-set of ``c``
         (which also lowers its counter columns), ``update`` dropping the
         ``c`` entry of a ``bcount`` row, and a block's bottom lists
         gaining an entry other than its split sibling, which marks every
@@ -342,21 +336,21 @@ class RefinementEngine:
         per block plus, per dirty target, one pass over its predecessors
         and a sort of the blocks that pass hits.
         """
-        rel, count, bcount, dirty = self.rel, self.count, self.bcount, self.dirty
+        up, count, bcount, dirty = self.up, self.count, self.bcount, self.dirty
         bo, pred, blocks = self.block_of, self.k.predecessors, self.blocks
         for c in compress(self.order, map(dirty.__getitem__, self.order)):
             self.targets_visited += 1
             hit = {bo[x] for y in self.members(c) for x in pred[y]}
-            col = count[c]
+            col, above = count[c], up[c]
             # blocks lie in list order along the state list
             for b in sorted(hit, key=lambda b: blocks[b].begin):
                 blk = blocks[b]
-                if not rel[c][b]:
+                if b not in above:
                     for s in blk.local_bottoms:
                         if s not in col:
                             return (b, c)
                 for d in blk.bottom_blocks:
-                    if not rel[c][d] and c not in bcount[d]:
+                    if d not in above and c not in bcount[d]:
                         return (b, c)
             dirty[c] = 0
         return None
@@ -406,8 +400,8 @@ class RefinementEngine:
     def splitting_procedure(self, s_list: Sequence[int]) -> None:
         """Split w.r.t. ``s_list``, then repair the counter tables and
         bottom bookkeeping.  Each new block starts with its parent's
-        relation row and column, so every state's candidate set is
-        unchanged."""
+        up-set and joins every up-set holding the parent, so every
+        state's candidate set is unchanged."""
         pairs = self.split(s_list)
         self.update(pairs)
         self.blocks_created += 2 * len(pairs)
@@ -483,21 +477,21 @@ class RefinementEngine:
         sits in the pruned block itself, else in its bottom-block list)."""
         bo = self.block_of
         splitter_blocks = dict.fromkeys(bo[x] for x in s_list)
-        count, bcount, blocks = self.count, self.bcount, self.blocks
+        up, count, bcount, blocks = self.up, self.count, self.bcount, self.blocks
         pred = self.k.predecessors
         for b in splitter_blocks:
-            row = self.rel[b]
-            pruned = [
-                c for c in compress(range(len(row)), row) if c not in splitter_blocks
-            ]
+            row = up[b]
+            pruned = row.difference(splitter_blocks)
             if not pruned:
                 continue
             self.dirty[b] = 1
             blk_b, col = blocks[b], count[b]
             lb, bb = blk_b.local_bottoms, blk_b.bottom_blocks
             gained = False
-            for c in pruned:
-                row[c] = 0
+            # Ascending, one entry at a time: a block still to be pruned
+            # counts as related, which fixes the targets this pass marks.
+            for c in sorted(pruned):
+                row.discard(c)
                 if c in bb:
                     bb.remove(c)
                     blocks[c].held_by.discard(b)
@@ -516,14 +510,15 @@ class RefinementEngine:
                         if bx == b:
                             lb.append(x)
                             gained = True
-                        elif row[bx] and bx not in bb:
+                        elif bx in row and bx not in bb:
                             bb.append(bx)
                             blocks[bx].held_by.add(b)
                             gained = True
             if gained:
                 self._mark_targets(b)
-            # A dict keeps its size when keys are deleted; rebuild it.
+            # A dict or set keeps its size when keys are deleted; rebuild.
             count[b] = dict(col)
+            up[b] = set(row)
 
     # -- main loop ----------------------------------------------------------
 
@@ -552,19 +547,14 @@ class RefinementEngine:
 
     def _build_result(self) -> SimulationResult:
         # The relation is antisymmetric, so each block is one class.
-        rel, order = self.rel, self.order
-        expanded = [
-            sorted(s0 for s in self.members(b) for s0 in self.collapse.members[s])
-            for b in order
-        ]
-        canon = sorted(range(len(order)), key=lambda g: expanded[g][0])
-        rank = {g: i for i, g in enumerate(canon)}
-        blocks = [expanded[g] for g in canon]
-        preorder = {
-            (rank[gi], rank[gj])
-            for gi, b in enumerate(order)
-            for gj in compress(range(len(order)), map(rel[b].__getitem__, order))
+        expanded = {
+            b: sorted(s0 for s in self.members(b) for s0 in self.collapse.members[s])
+            for b in self.order
         }
+        canon = sorted(self.order, key=lambda b: expanded[b][0])
+        rank = {b: i for i, b in enumerate(canon)}
+        blocks = [expanded[b] for b in canon]
+        preorder = {(rank[b], rank[c]) for b in canon for c in self.up[b]}
         block_of = [0] * self.original.num_states
         for i, members in enumerate(blocks):
             for s in members:
@@ -604,62 +594,54 @@ class RefinementEngine:
     def current_state_pairs(self) -> set[tuple[int, int]]:
         """Relation currently encoded by the partition-relation pair,
         over collapsed states."""
-        out = set()
         bo = self.block_of
-        for s in range(self.k.num_states):
-            for t in range(self.k.num_states):
-                if self.rel[bo[s]][bo[t]]:
-                    out.add((s, t))
-        return out
+        return {
+            (s, t)
+            for s in range(self.k.num_states)
+            for c in self.up[bo[s]]
+            for t in self.members(c)
+        }
 
     def check_invariants(self) -> None:
         """Assert every boundary invariant against brute-force values."""
         n = self.k.num_states
-        rel, count, bcount = self.rel, self.count, self.bcount
+        up, count, bcount, blocks = self.up, self.count, self.bcount, self.blocks
         order = self.order
         assert not any(self.mark1) and not any(self.mark2), "state marks leaked"
         pos = 0
         for b in order:
-            blk = self.blocks[b]
+            blk = blocks[b]
             assert blk.begin == pos and blk.end > blk.begin, "blocks misaligned"
             pos = blk.end
             for x in self.members(b):
                 assert self.block_of[x] == b and self.position[x] >= blk.begin
         assert pos == n, "blocks do not cover the state list"
+        assert len(up) == len(blocks) == len(order), "a block id is not in the order"
         for b in order:
-            assert rel[b][b], "relation lost reflexivity"
-            for c in order:
-                if not rel[b][c]:
-                    continue
+            assert b in up[b], "relation lost reflexivity"
+            assert max(up[b]) < len(blocks), "relation holds an unallocated block"
+            for c in up[b]:
                 if b != c:
-                    assert not rel[c][b], "relation lost antisymmetry"
+                    assert b not in up[c], "relation lost antisymmetry"
                     assert (
                         self.k.labels[self.members(b)[0]]
                         == self.k.labels[self.members(c)[0]]
                     ), "related blocks differ in label"
-                for d in order:
-                    if rel[c][d]:
-                        assert rel[b][d], "relation lost transitivity"
+                assert up[c] <= up[b], "relation lost transitivity"
+                # Reverse topological: no block precedes one above it.
+                assert blocks[c].begin <= blocks[b].begin, "block order broken"
         assert is_locally_topological(self.k, self.state_list), "state order broken"
-        assert is_reverse_topological(order, lambda b, c: bool(rel[b][c])), (
-            "block order broken"
-        )
-        mu: dict[int, set[int]] = {}
-        for b in order:
-            mu[b] = set()
-            for c in order:
-                if rel[b][c]:
-                    mu[b].update(self.members(c))
+        mu = {b: {x for c in up[b] for x in self.members(c)} for b in order}
         # Whole dicts are compared, so a stored zero fails too.
         bo, succ = self.block_of, self.k.successors
         for c in order:
-            col = {x: sum(rel[c][bo[y]] for y in succ[x]) for x in range(n)}
+            col = {x: sum(bo[y] in up[c] for y in succ[x]) for x in range(n)}
             assert count[c] == {x: v for x, v in col.items() if v}, f"Count({c}) drifted"
         for b in order:
             row = {c: sum(count[c].get(x, 0) for x in self.members(b)) for c in order}
             assert bcount[b] == {c: v for c, v in row.items() if v}, f"BCount({b}) drifted"
         for b in order:
-            blk = self.blocks[b]
+            blk = blocks[b]
             expect_lb = {
                 x for x in self.members(b) if not any(y in mu[b] for y in self.k.successors[x])
             }
@@ -669,12 +651,12 @@ class RefinementEngine:
             }
             expect_bb = {
                 c
-                for c in order
-                if c != b and rel[b][c] and any(x in bottoms for x in self.members(c))
+                for c in up[b]
+                if c != b and any(x in bottoms for x in self.members(c))
             }
             assert set(blk.bottom_blocks) == expect_bb, f"bottomBlocks({b}) drifted"
             assert len(blk.bottom_blocks) == len(expect_bb), f"bottomBlocks({b}) repeats"
-            holders = {a for a in order if b in self.blocks[a].bottom_blocks}
+            holders = {a for a in order if b in blocks[a].bottom_blocks}
             assert blk.held_by == holders, f"heldBy({b}) drifted"
         # A target skipped as clean must have no refiner pair.
         pred = self.k.predecessors
@@ -682,11 +664,11 @@ class RefinementEngine:
             if self.dirty[c]:
                 continue
             for b in {bo[x] for y in self.members(c) for x in pred[y]}:
-                blk = self.blocks[b]
-                assert rel[c][b] or all(s in count[c] for s in blk.local_bottoms), (
+                blk = blocks[b]
+                assert b in up[c] or all(s in count[c] for s in blk.local_bottoms), (
                     f"clean target {c} has a refiner pair from {b}"
                 )
-                assert all(rel[c][d] or c in bcount[d] for d in blk.bottom_blocks), (
+                assert all(d in up[c] or c in bcount[d] for d in blk.bottom_blocks), (
                     f"clean target {c} has a refiner pair from {b}"
                 )
         if self._oracle_pairs is None:
@@ -695,7 +677,7 @@ class RefinementEngine:
             assert self._initial_pairs is not None
             self._oracle_pairs = largest_simulation_within(self.k, self._initial_pairs)
         for s, t in self._oracle_pairs:
-            assert rel[bo[s]][bo[t]], (
+            assert bo[t] in up[bo[s]], (
                 f"pair ({s},{t}) of the answer fell out of the relation"
             )
 

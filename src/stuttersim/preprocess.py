@@ -9,7 +9,7 @@ block preorder.  Everything here is a pure function.
 from __future__ import annotations
 
 from heapq import heappop, heappush
-from typing import Callable, Iterable, NamedTuple, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .model import KripkeStructure, ValidationError
 
@@ -180,13 +180,3 @@ def is_locally_topological(k: KripkeStructure, order: Sequence[int]) -> bool:
         if k.labels[s] == k.labels[t]
     )
 
-
-def is_reverse_topological(
-    block_ids: Sequence[int], related: Callable[[int, int], bool]
-) -> bool:
-    """Predicate: no strictly related block precedes its superior."""
-    for i, b in enumerate(block_ids):
-        for c in block_ids[i + 1 :]:
-            if related(b, c) and not related(c, b):
-                return False
-    return True

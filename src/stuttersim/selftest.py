@@ -22,8 +22,8 @@ def _ten_state_blank() -> KripkeStructure:
 def _strict_edges(engine: RefinementEngine) -> _Edges:
     out: _Edges = set()
     for b in engine.order:
-        for c in engine.order:
-            if b != c and engine.rel[b][c]:
+        for c in engine.up[b]:
+            if b != c:
                 out.add((frozenset(engine.members(b)), frozenset(engine.members(c))))
     return out
 

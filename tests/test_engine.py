@@ -1,4 +1,5 @@
 import random
+import sys
 
 import pytest
 
@@ -14,10 +15,11 @@ from stuttersim import (
     naive_stuttering_simulation,
     pos_naive,
     quotient,
+    simulator_sets,
 )
 from stuttersim.reference import largest_simulation_within
 
-from conftest import random_preorder
+from conftest import pairs_of, random_preorder
 
 P4_BLOCKS = [[0, 1], [2, 3], [4, 5], [6, 7], [8, 9]]
 P4_PAIRS = [(i, i) for i in range(5)] + [(0, 1), (0, 3), (2, 3), (4, 3)]
@@ -190,9 +192,9 @@ def test_split_f2(f2):
 
 def test_splitting_procedure_union_noop(f2):
     e = RefinementEngine(f2)
-    rel_before = [bytes(row) for row in e.rel]
+    up_before = [set(row) for row in e.up]
     e.splitting_procedure([1, 4])
-    assert [bytes(row) for row in e.rel] == rel_before
+    assert e.up == up_before
 
 
 def test_splitting_procedure_f2_creates_mutual_pair(f2):
@@ -200,7 +202,7 @@ def test_splitting_procedure_f2_creates_mutual_pair(f2):
     parent = e.block_of[0]
     e.splitting_procedure([0])
     new = e.block_of[0]
-    assert e.rel[new][parent] and e.rel[parent][new]
+    assert parent in e.up[new] and new in e.up[parent]
     # candidate sets unchanged: both halves see the whole old block
     assert set(e.image(new)) == {0, 3} == set(e.image(parent))
 
@@ -235,17 +237,17 @@ def test_refine_f2_prunes_one_direction(f2):
     e.splitting_procedure([0])
     new = e.block_of[0]
     e.refine([0])
-    assert not e.rel[new][parent]
-    assert e.rel[parent][new]
+    assert parent not in e.up[new]
+    assert new in e.up[parent]
     assert e.blocks[new].bottom_blocks == []
     assert e.blocks[parent].bottom_blocks == [new]
 
 
 def test_refine_whole_state_set_removes_nothing():
     e = p4_engine()
-    rel_before = [bytes(row) for row in e.rel]
+    up_before = [set(row) for row in e.up]
     e.refine(list(e.state_list))
-    assert [bytes(row) for row in e.rel] == rel_before
+    assert e.up == up_before
 
 
 def test_selftest_goldens():
@@ -349,9 +351,9 @@ def _first_refiner(e: RefinementEngine) -> tuple[int, int] | None:
             ):
                 continue
             blk = e.blocks[b]
-            if not e.rel[c][b] and any(s not in e.count[c] for s in blk.local_bottoms):
+            if b not in e.up[c] and any(s not in e.count[c] for s in blk.local_bottoms):
                 return (b, c)
-            if any(not e.rel[c][d] and c not in e.bcount[d] for d in blk.bottom_blocks):
+            if any(d not in e.up[c] and c not in e.bcount[d] for d in blk.bottom_blocks):
                 return (b, c)
     return None
 
@@ -427,6 +429,47 @@ def test_sparse_300_tables_hold_only_nonzero_entries():
     e.run()
     assert sum(map(len, e.count)) == 2141
     assert sum(map(len, e.bcount)) == 2070
+
+
+def test_refine_leaves_pruned_rows_compact():
+    # A set keeps its table size when entries are discarded, so a row
+    # that is not rebuilt after pruning keeps the size of its peak.
+    e = RefinementEngine(generate_random_ks(7, 300, 2 / 300, 4))
+    refine, pruned = e.refine, 0
+
+    def checked_refine(s_list):
+        nonlocal pruned
+        before = {b: len(e.up[b]) for b in {e.block_of[x] for x in s_list}}
+        refine(s_list)
+        for b, size in before.items():
+            if len(e.up[b]) < size:
+                pruned += 1
+                assert sys.getsizeof(e.up[b]) <= sys.getsizeof(set(e.up[b])), b
+
+    e.refine = checked_refine
+    e.run()
+    assert pruned
+
+
+@pytest.mark.parametrize("i", range(10))
+def test_oracle_sweep_50_to_300_states(i):
+    # Sizes the naive oracle cannot reach, against the explicit
+    # fixpoint: densities log-spaced from 2/n to 0.05 and 1-4 labels
+    # give runs with a hundred blocks and more as well as runs with few.
+    n = 50 + 250 * i // 9
+    density = 2 / n * (0.05 * n / 2) ** (i * 5 % 10 / 9)
+    k = generate_random_ks(31_000 + i, n, density, 1 + i % 4)
+    result = compute_preorder(k)
+    sim = simulator_sets(k)
+    assert result.state_pairs() == pairs_of(sim)
+    if n <= 150:  # a random scan costs up to 4x the default one
+        assert result.state_pairs() == pairs_of(simulator_sets(k, random.Random(i)))
+    # criterion 6's equalities
+    classes = {frozenset(y for y in sim[x] if x in sim[y]) for x in k.states()}
+    stats = result.stats
+    assert len(result.blocks) == stats.final_blocks == len(classes)
+    assert stats.blocks_created == 2 * (stats.final_blocks - stats.initial_blocks)
+    assert stats.iterations <= stats.final_blocks**2
 
 
 @pytest.mark.parametrize("seed", range(30))

@@ -15,7 +15,6 @@ from stuttersim import (
 from stuttersim.engine import _combined_block_order
 from stuttersim.preprocess import (
     is_locally_topological,
-    is_reverse_topological,
     sort_states_locally_topological,
     strongly_connected_components,
     topological_order,
@@ -206,7 +205,8 @@ def sort_blocks(pairs, m):
     """Engine block order for a preorder on m one-state, same-label
     blocks with no transitions."""
     k = KripkeStructure(m, [], [["a"]] * m)
-    return _combined_block_order(k, m, pairs, list(range(m)))
+    up = [{j for i, j in pairs if i == b} for b in range(m)]
+    return _combined_block_order(k, up, list(range(m)))
 
 
 def test_sort_blocks_identity_keeps_input_order():
@@ -220,7 +220,6 @@ def test_sort_blocks_worked_pair():
     pos = {b: i for i, b in enumerate(order)}
     assert pos[1] < pos[0] and pos[3] < pos[0]
     assert pos[3] < pos[2] and pos[3] < pos[4]
-    assert is_reverse_topological(order, lambda b, c: (b, c) in pairs)
 
 
 def test_sort_blocks_mutual_pair_is_one_block():
@@ -232,17 +231,6 @@ def test_sort_blocks_mutual_pair_is_one_block():
     k = KripkeStructure(2, [], [["a"]] * 2)
     e = RefinementEngine(k, ([[0], [1]], pairs))
     assert e.order == [0] and e.members(0) == [0, 1]
-
-
-def test_is_reverse_topological_cases():
-    below = {(0, 0), (1, 1), (2, 2), (0, 1), (1, 2), (0, 2)}  # 0 < 1 < 2
-    related = lambda b, c: (b, c) in below
-    assert is_reverse_topological([2, 1, 0], related)
-    assert not is_reverse_topological([0, 1, 2], related)
-    assert not is_reverse_topological([2, 0, 1], related)  # 0 before 1
-    assert not is_reverse_topological([1, 2, 0], related)  # 1 before 2
-    assert is_reverse_topological([], related)
-    assert is_reverse_topological([1, 0, 2], lambda b, c: b == c)
 
 
 @pytest.mark.parametrize("seed", range(40))
@@ -264,9 +252,7 @@ def test_sort_blocks_random_acyclic(seed):
                     pairs.add((a, d))
                     changed = True
     order = sort_blocks(pairs, m)
-    related = lambda b, c: (b, c) in pairs
+    pos = {b: i for i, b in enumerate(order)}
     assert sorted(order) == list(range(m))
-    assert is_reverse_topological(order, related)
-    # reversed, the order breaks the predicate iff some pair is strict
-    strict = any(i != j for i, j in pairs)
-    assert is_reverse_topological(order[::-1], related) == (not strict)
+    # every block above another precedes it
+    assert all(pos[j] < pos[i] for i, j in pairs if i != j)
