@@ -13,7 +13,7 @@ the refiner search correct.
 from __future__ import annotations
 
 from collections import Counter
-from itertools import compress, repeat
+from itertools import chain, compress, repeat
 from typing import Callable, Iterable, Sequence
 
 from .model import (
@@ -44,7 +44,7 @@ class _Block:
         self.begin = begin
         self.end = end
         self.local_bottoms: list[int] = []
-        self.bottom_blocks: list[int] = []
+        self.bottom_blocks: set[int] = set()
         # The blocks whose ``bottom_blocks`` hold this one.
         self.held_by: set[int] = set()
 
@@ -141,7 +141,6 @@ class RefinementEngine:
         debug: bool = False,
     ):
         self.original = k
-        self.debug = debug
         if candidate is None:
             blocks0: list[list[int]] = labeling_partition(k)
             up0 = [{i} for i in range(len(blocks0))]
@@ -157,7 +156,6 @@ class RefinementEngine:
         # equality, and the sort's classes are this same partition.
         topo = topological_order(k.successors, block_of0)
         self.k, self.collapse = collapse_inert_sccs(k, block_of0, topo)
-        n = self.k.num_states
         m = len(blocks0)
 
         # Block ids 0..m-1 are the (merged) candidate block indices;
@@ -173,9 +171,6 @@ class RefinementEngine:
             [coll_members[b] for b in self.order],
             topo if self.k is k else None,
         )
-        self.position = [0] * n
-        for i, s in enumerate(self.state_list):
-            self.position[s] = i
         self.blocks: list[_Block] = [_Block(0, 0) for _ in range(m)]
         begin = 0
         for b in self.order:
@@ -192,8 +187,6 @@ class RefinementEngine:
         # bcount[b][c] is its sum over the members of b.
         self.count: list[dict[int, int]] = [{} for _ in range(m)]
         self.bcount: list[dict[int, int]] = [{} for _ in range(m)]
-        self.mark1 = bytearray(n)
-        self.mark2 = bytearray(n)
         # Per block id: 0 from a scan of the target that found no pair
         # until a write that could give it one (see ``find_refiner``).
         self.dirty = bytearray(b"\x01" * m)
@@ -203,10 +196,12 @@ class RefinementEngine:
         self.blocks_created = 0
         self.targets_visited = 0
         self.initial_blocks = m
-        self._oracle_pairs: set[tuple[int, int]] | None = None
-        # Containment oracle: the answer is the largest simulation inside
-        # the *initial* relation, so capture that relation now.
-        self._initial_pairs = self.current_state_pairs() if debug else None
+        # Debug mode loads its checks only when asked for.
+        self.checks = None
+        if debug:
+            from .invariants import InvariantChecks
+
+            self.checks = InvariantChecks(self)
 
     # -- table plumbing -----------------------------------------------------
 
@@ -250,11 +245,11 @@ class RefinementEngine:
         for b in self.order:
             blk, col = blocks[b], count[b]
             blk.local_bottoms = [x for x in self.members(b) if x not in col]
-            blk.bottom_blocks = [
+            blk.bottom_blocks = {
                 c
                 for c in self.up[b]
                 if c != b and any(x not in col for x in self.members(c))
-            ]
+            }
             for c in blk.bottom_blocks:
                 blocks[c].held_by.add(b)
 
@@ -276,40 +271,16 @@ class RefinementEngine:
         that already lie in ``t_list`` (the zero-length path) or step
         directly into it.  The result is a sublist of ``s_list``.
         """
-        if self.debug:
-            positions = [self.position[s] for s in s_list]
-            assert positions == sorted(positions), "source is not a state-list sublist"
-            assert len({self.k.labels[s] for s in s_list}) <= 1, "source mixes labels"
-        m1, m2 = self.mark1, self.mark2
         pred = self.k.predecessors
-        touched: list[int] = []
-        for s in s_list:
-            m1[s] = 1
-        for t in t_list:
-            if m1[t] and not m2[t]:
-                m2[t] = 1
-                touched.append(t)
-            for x in pred[t]:
-                if m1[x] and not m2[x]:
-                    m2[x] = 1
-                    touched.append(x)
+        inside = set(s_list)
+        seeds = chain(t_list, chain.from_iterable(map(pred.__getitem__, t_list)))
+        found = inside.intersection(seeds)
         for y in reversed(s_list):
-            if m2[y]:
-                for x in pred[y]:
-                    if m1[x] and not m2[x]:
-                        m2[x] = 1
-                        touched.append(x)
-        result = [s for s in s_list if m2[s]]
-        for s in s_list:
-            m1[s] = 0
-        for s in touched:
-            m2[s] = 0
-        if self.debug:
-            from .reference import pos_naive
-
-            assert set(result) == pos_naive(self.k, s_list, t_list), (
-                "ordered reachability disagrees with naive computation"
-            )
+            if y in found:
+                found.update(inside.intersection(pred[y]))
+        result = [s for s in s_list if s in found]
+        if self.checks:
+            self.checks.pos_ordered(s_list, t_list, result)
         return result
 
     def find_refiner(self) -> tuple[int, int] | None:
@@ -327,7 +298,7 @@ class RefinementEngine:
         after it keep their flags.  The writes that can are marked
         where they happen: ``refine`` pruning the up-set of ``c``
         (which also lowers its counter columns), ``update`` dropping the
-        ``c`` entry of a ``bcount`` row, and a block's bottom lists
+        ``c`` entry of a ``bcount`` row, and a block's bottom bookkeeping
         gaining an entry other than its split sibling, which marks every
         target the block steps into.  A split itself keeps every
         candidate set: a new block takes its parent's flag, and a block
@@ -388,8 +359,6 @@ class RefinementEngine:
             nid = self._new_block(p, blk.begin, blk.begin + len(ss))
             newseq = ss + ds
             self.state_list[blk.begin : blk.end] = newseq
-            for i, x in enumerate(newseq, start=blk.begin):
-                self.position[x] = i
             for x in ss:
                 bo[x] = nid
             blk.begin += len(ss)
@@ -412,7 +381,7 @@ class RefinementEngine:
         new block copied from its parent stay right, except the BCount
         rows of the two parts: the parent's redistribute between them.
         Work is proportional to the smaller part times the parent row's
-        entries, and to the blocks whose bottom-block lists hold a split
+        entries, and to the blocks whose bottom-block sets hold a split
         parent.  ``pairs`` are the ``(parent, new block)`` pairs of ``split``."""
         count, bcount, dirty, blocks = self.count, self.bcount, self.dirty, self.blocks
         for p, i in pairs:
@@ -436,24 +405,24 @@ class RefinementEngine:
             old = blocks[p].local_bottoms
             blocks[p].local_bottoms = [x for x in old if bo[x] == p]
             blocks[i].local_bottoms = [x for x in old if bo[x] == i]
-        # Bottom-block lists: new halves inherit the parent's list, every
+        # Bottom-block sets: new halves inherit the parent's set, every
         # split entry is replaced by whichever parts still hold a bottom
         # state, and the sibling halves are cross-linked when they hold
         # bottom states themselves (the halves are mutually related
         # until the upcoming relation pruning).
         for p, i in pairs:
-            blocks[i].bottom_blocks = list(blocks[p].bottom_blocks)
+            blocks[i].bottom_blocks = set(blocks[p].bottom_blocks)
             for d in blocks[i].bottom_blocks:
                 blocks[d].held_by.add(i)
         for p, i in pairs:
             blk_p = blocks[p]
-            for b in sorted(blk_p.held_by):
+            for b in list(blk_p.held_by):
                 bb, col = blocks[b].bottom_blocks, count[b]
                 if all(x in col for x in self.members(p)):
-                    bb.remove(p)
+                    bb.discard(p)
                     blk_p.held_by.discard(b)
                 if any(x not in col for x in self.members(i)):
-                    bb.append(i)
+                    bb.add(i)
                     blocks[i].held_by.add(b)
                     self._mark_targets(b)
         # The cross-links mark nothing: for a target the parent is not
@@ -462,10 +431,10 @@ class RefinementEngine:
         # BCount toward it.
         for p, i in pairs:
             if blocks[i].local_bottoms:
-                blocks[p].bottom_blocks.append(i)
+                blocks[p].bottom_blocks.add(i)
                 blocks[i].held_by.add(p)
             if blocks[p].local_bottoms:
-                blocks[i].bottom_blocks.append(p)
+                blocks[i].bottom_blocks.add(p)
                 blocks[p].held_by.add(i)
 
     def refine(self, s_list: Sequence[int]) -> None:
@@ -474,27 +443,27 @@ class RefinementEngine:
         superiors.  Counters are decremented per removed transition
         target; one that hits zero loses its entry, and its state is
         recorded as a new bottom state (in its own block's list when it
-        sits in the pruned block itself, else in its bottom-block list)."""
+        sits in the pruned block itself, else in its bottom-block set)."""
         bo = self.block_of
-        splitter_blocks = dict.fromkeys(bo[x] for x in s_list)
+        splitter_blocks = {bo[x] for x in s_list}
         up, count, bcount, blocks = self.up, self.count, self.bcount, self.blocks
         pred = self.k.predecessors
         for b in splitter_blocks:
             row = up[b]
-            pruned = row.difference(splitter_blocks)
+            pruned = row - splitter_blocks
             if not pruned:
                 continue
+            # Pruned before the counters fall, so no pruned block enters
+            # ``bb`` below.  set() of a set sizes its table to the entries;
+            # a set built or pruned entry by entry keeps a larger one.
+            up[b] = row = set(row & splitter_blocks)
             self.dirty[b] = 1
             blk_b, col = blocks[b], count[b]
             lb, bb = blk_b.local_bottoms, blk_b.bottom_blocks
             gained = False
-            # Ascending, one entry at a time: a block still to be pruned
-            # counts as related, which fixes the targets this pass marks.
-            for c in sorted(pruned):
-                row.discard(c)
-                if c in bb:
-                    bb.remove(c)
-                    blocks[c].held_by.discard(b)
+            for c in pruned:
+                bb.discard(c)
+                blocks[c].held_by.discard(b)
                 for y in self.members(c):
                     for x in pred[y]:
                         bx = bo[x]
@@ -511,28 +480,29 @@ class RefinementEngine:
                             lb.append(x)
                             gained = True
                         elif bx in row and bx not in bb:
-                            bb.append(bx)
+                            bb.add(bx)
                             blocks[bx].held_by.add(b)
                             gained = True
             if gained:
                 self._mark_targets(b)
             # A dict or set keeps its size when keys are deleted; rebuild.
             count[b] = dict(col)
-            up[b] = set(row)
+            blk_b.bottom_blocks = set(bb)
 
     # -- main loop ----------------------------------------------------------
 
     def run(self, trace: TraceHook | None = None) -> SimulationResult:
         """Refine to the fixpoint and expand back to the original states."""
-        if self.debug:
-            self.check_invariants()
+        checks = self.checks
+        if checks:
+            checks.invariants()
         while True:
             found = self.find_refiner()
             if found is None:
                 break
             b, c = found
-            if self.debug:
-                self._check_refiner(b, c)
+            if checks:
+                checks.refiner(b, c)
             src = self.image(b)
             dst = self.image(c)
             splitter = self.pos_ordered(src, dst)
@@ -541,8 +511,8 @@ class RefinementEngine:
             self.iterations += 1
             if trace is not None:
                 trace(self.iterations, (b, c), len(splitter), len(self.order))
-            if self.debug:
-                self.check_invariants()
+            if checks:
+                checks.invariants()
         return self._build_result()
 
     def _build_result(self) -> SimulationResult:
@@ -567,119 +537,6 @@ class RefinementEngine:
             targets_visited=self.targets_visited,
         )
         return SimulationResult(blocks, frozenset(preorder), block_of, stats)
-
-    # -- debug invariants ---------------------------------------------------
-
-    def _check_refiner(self, b: int, c: int) -> None:
-        """A returned pair must have an existential transition and leave
-        some bottom state of b's candidate set unable to take the step
-        (the brute-force form of the characterization)."""
-        mu_c = set(self.image(c))
-        assert any(
-            self.block_of[y] == c for x in self.members(b) for y in self.k.successors[x]
-        ), "refiner pair lacks an existential transition"
-        mu_b = set(self.image(b))
-        bottoms = {
-            x for x in mu_b if not any(y in mu_b for y in self.k.successors[x])
-        }
-        reachable = mu_c | {
-            x
-            for x in range(self.k.num_states)
-            if any(y in mu_c for y in self.k.successors[x])
-        }
-        assert not bottoms <= reachable, (
-            "returned pair contradicts the bottom-state characterization"
-        )
-
-    def current_state_pairs(self) -> set[tuple[int, int]]:
-        """Relation currently encoded by the partition-relation pair,
-        over collapsed states."""
-        bo = self.block_of
-        return {
-            (s, t)
-            for s in range(self.k.num_states)
-            for c in self.up[bo[s]]
-            for t in self.members(c)
-        }
-
-    def check_invariants(self) -> None:
-        """Assert every boundary invariant against brute-force values."""
-        n = self.k.num_states
-        up, count, bcount, blocks = self.up, self.count, self.bcount, self.blocks
-        order = self.order
-        assert not any(self.mark1) and not any(self.mark2), "state marks leaked"
-        pos = 0
-        for b in order:
-            blk = blocks[b]
-            assert blk.begin == pos and blk.end > blk.begin, "blocks misaligned"
-            pos = blk.end
-            for x in self.members(b):
-                assert self.block_of[x] == b and self.position[x] >= blk.begin
-        assert pos == n, "blocks do not cover the state list"
-        assert len(up) == len(blocks) == len(order), "a block id is not in the order"
-        for b in order:
-            assert b in up[b], "relation lost reflexivity"
-            assert max(up[b]) < len(blocks), "relation holds an unallocated block"
-            for c in up[b]:
-                if b != c:
-                    assert b not in up[c], "relation lost antisymmetry"
-                    assert (
-                        self.k.labels[self.members(b)[0]]
-                        == self.k.labels[self.members(c)[0]]
-                    ), "related blocks differ in label"
-                assert up[c] <= up[b], "relation lost transitivity"
-                # Reverse topological: no block precedes one above it.
-                assert blocks[c].begin <= blocks[b].begin, "block order broken"
-        assert is_locally_topological(self.k, self.state_list), "state order broken"
-        mu = {b: {x for c in up[b] for x in self.members(c)} for b in order}
-        # Whole dicts are compared, so a stored zero fails too.
-        bo, succ = self.block_of, self.k.successors
-        for c in order:
-            col = {x: sum(bo[y] in up[c] for y in succ[x]) for x in range(n)}
-            assert count[c] == {x: v for x, v in col.items() if v}, f"Count({c}) drifted"
-        for b in order:
-            row = {c: sum(count[c].get(x, 0) for x in self.members(b)) for c in order}
-            assert bcount[b] == {c: v for c, v in row.items() if v}, f"BCount({b}) drifted"
-        for b in order:
-            blk = blocks[b]
-            expect_lb = {
-                x for x in self.members(b) if not any(y in mu[b] for y in self.k.successors[x])
-            }
-            assert set(blk.local_bottoms) == expect_lb, f"localBottoms({b}) drifted"
-            bottoms = {
-                x for x in mu[b] if not any(y in mu[b] for y in self.k.successors[x])
-            }
-            expect_bb = {
-                c
-                for c in up[b]
-                if c != b and any(x in bottoms for x in self.members(c))
-            }
-            assert set(blk.bottom_blocks) == expect_bb, f"bottomBlocks({b}) drifted"
-            assert len(blk.bottom_blocks) == len(expect_bb), f"bottomBlocks({b}) repeats"
-            holders = {a for a in order if b in blocks[a].bottom_blocks}
-            assert blk.held_by == holders, f"heldBy({b}) drifted"
-        # A target skipped as clean must have no refiner pair.
-        pred = self.k.predecessors
-        for c in order:
-            if self.dirty[c]:
-                continue
-            for b in {bo[x] for y in self.members(c) for x in pred[y]}:
-                blk = blocks[b]
-                assert b in up[c] or all(s in count[c] for s in blk.local_bottoms), (
-                    f"clean target {c} has a refiner pair from {b}"
-                )
-                assert all(d in up[c] or c in bcount[d] for d in blk.bottom_blocks), (
-                    f"clean target {c} has a refiner pair from {b}"
-                )
-        if self._oracle_pairs is None:
-            from .reference import largest_simulation_within
-
-            assert self._initial_pairs is not None
-            self._oracle_pairs = largest_simulation_within(self.k, self._initial_pairs)
-        for s, t in self._oracle_pairs:
-            assert bo[t] in up[bo[s]], (
-                f"pair ({s},{t}) of the answer fell out of the relation"
-            )
 
 
 def compute_preorder(

@@ -111,14 +111,14 @@ def split_refine_check() -> tuple[bool, str]:
     """Splitting then pruning the five-block pair w.r.t. S = {3,4,5,8}."""
     k = _ten_state_blank()
     engine = RefinementEngine(k, (_FIVE_BLOCKS, _FIVE_PAIRS))
-    splitter = sorted({3, 4, 5, 8}, key=lambda s: engine.position[s])
+    splitter = [s for s in engine.state_list if s in {3, 4, 5, 8}]
     engine.splitting_procedure(splitter)
     if _partition(engine) != _SPLIT_PARTITION:
         return False, f"split partition {_partition(engine)}"
     got_middle = _strict_edges(engine)
     if got_middle != _MIDDLE_EDGES:
         return False, f"after split: {_fmt(got_middle)}"
-    splitter = sorted({3, 4, 5, 8}, key=lambda s: engine.position[s])
+    splitter = [s for s in engine.state_list if s in {3, 4, 5, 8}]
     engine.refine(splitter)
     if _partition(engine) != _SPLIT_PARTITION:
         return False, "refine changed the partition"

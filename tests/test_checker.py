@@ -218,7 +218,7 @@ def test_checks_computed_preorder_at_n1500():
     result = compute_preorder(k)
     stats = result.stats
     assert (stats.iterations, stats.blocks_created, stats.final_blocks) == (1904, 2166, 1087)
-    assert stats.targets_visited == 5744
+    assert stats.targets_visited == 5424
     best = result.state_pairs()
     assert check_preorder(k, best).accepted
     _assert_rejects_augmentations(k, best, random.Random(1500))

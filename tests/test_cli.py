@@ -305,7 +305,8 @@ runpy.run_module("stuttersim", run_name="__main__", alter_sys=True)
 # Modules that a command must not load: each one costs its import, and,
 # with no bytecode cache, its compilation.
 NOT_FOR_COMPUTE = {
-    "stuttersim.checker", "stuttersim.reference", "stuttersim.selftest", "dataclasses",
+    "stuttersim.checker", "stuttersim.reference", "stuttersim.selftest",
+    "stuttersim.invariants", "dataclasses",
 }
 NOT_FOR_CHECK = {
     "stuttersim.engine", "stuttersim.reference", "stuttersim.selftest", "dataclasses",
@@ -349,6 +350,15 @@ def test_compute_loads_no_checker_reference_or_dataclasses(f2_file):
     assert code == 0
     assert "stuttersim.engine" in loaded
     assert sorted(loaded & NOT_FOR_COMPUTE) == []
+
+
+def test_only_debug_mode_loads_the_invariant_checks(monkeypatch):
+    monkeypatch.delitem(sys.modules, "stuttersim.invariants", raising=False)
+    k = parse_ks(F2_TEXT)
+    compute_preorder(k)
+    assert "stuttersim.invariants" not in sys.modules
+    compute_preorder(k, debug=True)
+    assert "stuttersim.invariants" in sys.modules
 
 
 def test_check_loads_no_engine_reference_or_dataclasses(f2_file, f2_relations):
