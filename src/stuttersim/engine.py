@@ -1,8 +1,8 @@
 """Partition-refinement engine for the stuttering simulation preorder.
 
 The engine maintains an ordered partition of a collapsed structure
-together with a block preorder, counter tables and per-block bottom
-bookkeeping, and refines them until no refiner block pair remains.  The
+together with a block preorder, counter tables and per-block local
+bottoms, and refines them until no refiner block pair remains.  The
 state list always satisfies the local topological property (no backward
 same-label transition), blocks are contiguous ranges of it, and the
 block list is kept in reverse topological order of the block preorder;
@@ -38,15 +38,15 @@ TraceHook = Callable[[int, tuple[int, int], int, int], None]
 
 
 class _Block:
-    __slots__ = ("begin", "end", "local_bottoms", "bottom_blocks", "held_by")
+    """A range ``begin:end`` of the state list and its local bottoms:
+    the members with no successor in the block's candidate set."""
+
+    __slots__ = ("begin", "end", "local_bottoms")
 
     def __init__(self, begin: int, end: int):
         self.begin = begin
         self.end = end
         self.local_bottoms: list[int] = []
-        self.bottom_blocks: set[int] = set()
-        # The blocks whose ``bottom_blocks`` hold this one.
-        self.held_by: set[int] = set()
 
 
 def _validate_candidate(
@@ -227,13 +227,6 @@ class RefinementEngine:
         self.dirty.append(self.dirty[parent])
         return bid
 
-    def _mark_targets(self, b: int) -> None:
-        """Mark dirty every target that a member of ``b`` steps into."""
-        dirty, bo = self.dirty, self.block_of
-        for x in self.members(b):
-            for y in self.k.successors[x]:
-                dirty[bo[y]] = 1
-
     def _init_counters(self) -> None:
         count, bcount, blocks = self.count, self.bcount, self.blocks
         bo, pred = self.block_of, self.k.predecessors
@@ -243,15 +236,7 @@ class RefinementEngine:
                 brow = bcount[bo[x]]
                 brow[c] = brow.get(c, 0) + v
         for b in self.order:
-            blk, col = blocks[b], count[b]
-            blk.local_bottoms = [x for x in self.members(b) if x not in col]
-            blk.bottom_blocks = {
-                c
-                for c in self.up[b]
-                if c != b and any(x not in col for x in self.members(c))
-            }
-            for c in blk.bottom_blocks:
-                blocks[c].held_by.add(b)
+            blocks[b].local_bottoms = [x for x in self.members(b) if x not in count[b]]
 
     # -- queries ------------------------------------------------------------
 
@@ -293,19 +278,26 @@ class RefinementEngine:
         conditions a complete characterization.  A zero counter is an
         absent key, so both conditions are membership tests.
 
+        A block ``d`` above ``b`` has its candidate set inside ``b``'s,
+        so the bottom states of ``b``'s set in ``d`` are the local
+        bottoms of ``d`` absent from ``count[b]``; ``b`` itself never
+        passes, as it steps into ``c``.
+
         A target whose scan finds no pair is flagged clean and skipped
         until a write can give it one; the returned target and those
         after it keep their flags.  The writes that can are marked
-        where they happen: ``refine`` pruning the up-set of ``c``
-        (which also lowers its counter columns), ``update`` dropping the
-        ``c`` entry of a ``bcount`` row, and a block's bottom bookkeeping
-        gaining an entry other than its split sibling, which marks every
-        target the block steps into.  A split itself keeps every
-        candidate set: a new block takes its parent's flag, and a block
-        that now steps into a target did so before inside its parent,
-        with the parent's bottom states.  So a call costs one flag test
-        per block plus, per dirty target, one pass over its predecessors
-        and a sort of the blocks that pass hits.
+        where they happen: ``refine`` pruning the up-set of ``c`` (which
+        also lowers its counter columns) marks ``c``, ``refine`` giving
+        a block's candidate set a new bottom state marks every target
+        the block steps into, and ``update`` marks the targets a part of
+        a split parent with local bottoms lost from its ``bcount`` row
+        (a part gives a new pair only through a bottom state of its
+        own).  A split itself keeps every candidate set: a new block
+        takes its parent's flag, and a block that now steps into a
+        target did so before inside its parent, with the parent's
+        bottom states.  So a call costs one flag test per block plus,
+        per dirty target, one pass over its predecessors and a sort of
+        the blocks that pass hits.
         """
         up, count, bcount, dirty = self.up, self.count, self.bcount, self.dirty
         bo, pred, blocks = self.block_of, self.k.predecessors, self.blocks
@@ -315,14 +307,17 @@ class RefinementEngine:
             col, above = count[c], up[c]
             # blocks lie in list order along the state list
             for b in sorted(hit, key=lambda b: blocks[b].begin):
-                blk = blocks[b]
-                if b not in above:
-                    for s in blk.local_bottoms:
-                        if s not in col:
-                            return (b, c)
-                for d in blk.bottom_blocks:
-                    if d not in above and c not in bcount[d]:
+                if b in above:
+                    continue  # up[b] lies inside up[c]
+                for s in blocks[b].local_bottoms:
+                    if s not in col:
                         return (b, c)
+                col_b = count[b]
+                for d in up[b]:
+                    if d not in above and c not in bcount[d]:
+                        for x in blocks[d].local_bottoms:
+                            if x not in col_b:
+                                return (b, c)
             dirty[c] = 0
         return None
 
@@ -368,7 +363,7 @@ class RefinementEngine:
 
     def splitting_procedure(self, s_list: Sequence[int]) -> None:
         """Split w.r.t. ``s_list``, then repair the counter tables and
-        bottom bookkeeping.  Each new block starts with its parent's
+        local bottoms.  Each new block starts with its parent's
         up-set and joins every up-set holding the parent, so every
         state's candidate set is unchanged."""
         pairs = self.split(s_list)
@@ -376,16 +371,20 @@ class RefinementEngine:
         self.blocks_created += 2 * len(pairs)
 
     def update(self, pairs: Sequence[tuple[int, int]]) -> None:
-        """Repair BCount rows and the bottom bookkeeping after a split.
-        Candidate sets are unchanged at this point, so the counters each
-        new block copied from its parent stay right, except the BCount
-        rows of the two parts: the parent's redistribute between them.
-        Work is proportional to the smaller part times the parent row's
-        entries, and to the blocks whose bottom-block sets hold a split
-        parent.  ``pairs`` are the ``(parent, new block)`` pairs of ``split``."""
+        """Repair the local bottoms and BCount rows of both parts of each
+        split parent.  Candidate sets are unchanged at this point, so the
+        counters each new block copied from its parent stay right, and
+        the parent's bottom states and BCount row redistribute between
+        the parts.  Work is proportional to the smaller part times the
+        parent row's entries.  ``pairs`` are the ``(parent, new block)``
+        pairs of ``split``."""
         count, bcount, dirty, blocks = self.count, self.bcount, self.dirty, self.blocks
+        bo = self.block_of
         for p, i in pairs:
             blk_i, blk_p = blocks[i], blocks[p]
+            old = blk_p.local_bottoms
+            blk_p.local_bottoms = [x for x in old if bo[x] == p]
+            blk_i.local_bottoms = [x for x in old if bo[x] == i]
             if blk_i.end - blk_i.begin <= blk_p.end - blk_p.begin:
                 small, large = i, p
             else:
@@ -395,75 +394,40 @@ class RefinementEngine:
             part = {c: v for c in row if (v := sum(map(count[c].get, ms, repeat(0))))}
             bcount[large] = {c: d for c, v in row.items() if (d := v - part.get(c, 0))}
             bcount[small] = part
-            # A target that only row i holds now may have a pair through p.
-            for c in bcount[i].keys() - bcount[p].keys():
-                dirty[c] = 1
-        # Bottom states of the (unchanged) candidate set merely
-        # redistribute between the two parts.
-        bo = self.block_of
-        for p, i in pairs:
-            old = blocks[p].local_bottoms
-            blocks[p].local_bottoms = [x for x in old if bo[x] == p]
-            blocks[i].local_bottoms = [x for x in old if bo[x] == i]
-        # Bottom-block sets: new halves inherit the parent's set, every
-        # split entry is replaced by whichever parts still hold a bottom
-        # state, and the sibling halves are cross-linked when they hold
-        # bottom states themselves (the halves are mutually related
-        # until the upcoming relation pruning).
-        for p, i in pairs:
-            blocks[i].bottom_blocks = set(blocks[p].bottom_blocks)
-            for d in blocks[i].bottom_blocks:
-                blocks[d].held_by.add(i)
-        for p, i in pairs:
-            blk_p = blocks[p]
-            for b in list(blk_p.held_by):
-                bb, col = blocks[b].bottom_blocks, count[b]
-                if all(x in col for x in self.members(p)):
-                    bb.discard(p)
-                    blk_p.held_by.discard(b)
-                if any(x not in col for x in self.members(i)):
-                    bb.add(i)
-                    blocks[i].held_by.add(b)
-                    self._mark_targets(b)
-        # The cross-links mark nothing: for a target the parent is not
-        # related to, every bottom state of the parent stepped into it
-        # (else it had a pair), so a part holding one has a positive
-        # BCount toward it.
-        for p, i in pairs:
-            if blocks[i].local_bottoms:
-                blocks[p].bottom_blocks.add(i)
-                blocks[i].held_by.add(p)
-            if blocks[p].local_bottoms:
-                blocks[i].bottom_blocks.add(p)
-                blocks[p].held_by.add(i)
+            # A part gives a new pair only as a bottom block, through a
+            # local bottom of its own and a target its row lost.
+            if blk_p.local_bottoms:
+                for c in bcount[i].keys() - bcount[p].keys():
+                    dirty[c] = 1
+            if blk_i.local_bottoms:
+                for c in bcount[p].keys() - bcount[i].keys():
+                    dirty[c] = 1
 
     def refine(self, s_list: Sequence[int]) -> None:
         """Prune the relation against a splitter that is now a union of
         blocks: a block inside the splitter keeps only its in-splitter
         superiors.  Counters are decremented per removed transition
-        target; one that hits zero loses its entry, and its state is
-        recorded as a new bottom state (in its own block's list when it
-        sits in the pruned block itself, else in its bottom-block set)."""
+        target; one that hits zero loses its entry.  Its state, if its
+        block is still related above, is a new bottom state of the
+        pruned block's candidate set: it joins that block's local bottoms
+        if it sits there, and every target the block steps into is marked."""
         bo = self.block_of
         splitter_blocks = {bo[x] for x in s_list}
-        up, count, bcount, blocks = self.up, self.count, self.bcount, self.blocks
-        pred = self.k.predecessors
+        up, count, bcount, dirty = self.up, self.count, self.bcount, self.dirty
+        pred, succ = self.k.predecessors, self.k.successors
         for b in splitter_blocks:
             row = up[b]
             pruned = row - splitter_blocks
             if not pruned:
                 continue
-            # Pruned before the counters fall, so no pruned block enters
-            # ``bb`` below.  set() of a set sizes its table to the entries;
-            # a set built or pruned entry by entry keeps a larger one.
+            # Pruned before the counters fall, for the gain test below.
+            # set() of a set sizes its table to the entries, unlike a set
+            # pruned entry by entry.
             up[b] = row = set(row & splitter_blocks)
-            self.dirty[b] = 1
-            blk_b, col = blocks[b], count[b]
-            lb, bb = blk_b.local_bottoms, blk_b.bottom_blocks
+            dirty[b] = 1
+            col, lb = count[b], self.blocks[b].local_bottoms
             gained = False
             for c in pruned:
-                bb.discard(c)
-                blocks[c].held_by.discard(b)
                 for y in self.members(c):
                     for x in pred[y]:
                         bx = bo[x]
@@ -476,18 +440,16 @@ class RefinementEngine:
                             col[x] -= 1
                             continue
                         del col[x]
-                        if bx == b:
-                            lb.append(x)
+                        if bx in row:
                             gained = True
-                        elif bx in row and bx not in bb:
-                            bb.add(bx)
-                            blocks[bx].held_by.add(b)
-                            gained = True
+                            if bx == b:
+                                lb.append(x)
             if gained:
-                self._mark_targets(b)
-            # A dict or set keeps its size when keys are deleted; rebuild.
+                for x in self.members(b):
+                    for y in succ[x]:
+                        dirty[bo[y]] = 1
+            # A dict keeps its size when keys are deleted; rebuild.
             count[b] = dict(col)
-            blk_b.bottom_blocks = set(bb)
 
     # -- main loop ----------------------------------------------------------
 

@@ -97,19 +97,16 @@ class InvariantChecks:
         for b in order:
             row = {c: sum(count[c].get(x, 0) for x in e.members(b)) for c in order}
             assert bcount[b] == {c: v for c, v in row.items() if v}, f"BCount({b}) drifted"
+        # The blocks above b other than b that hold a bottom state of
+        # b's candidate set.
+        holding_bottoms = {}
         for b in order:
-            blk = blocks[b]
-            expect_lb = {
-                x for x in e.members(b) if not any(y in mu[b] for y in succ[x])
-            }
-            assert set(blk.local_bottoms) == expect_lb, f"localBottoms({b}) drifted"
             bottoms = {x for x in mu[b] if not any(y in mu[b] for y in succ[x])}
-            expect_bb = {
-                c for c in up[b] if c != b and any(x in bottoms for x in e.members(c))
+            expect_lb = bottoms.intersection(e.members(b))
+            assert set(blocks[b].local_bottoms) == expect_lb, f"localBottoms({b}) drifted"
+            holding_bottoms[b] = {
+                c for c in up[b] if c != b and not bottoms.isdisjoint(e.members(c))
             }
-            assert blk.bottom_blocks == expect_bb, f"bottomBlocks({b}) drifted"
-            holders = {a for a in order if b in blocks[a].bottom_blocks}
-            assert blk.held_by == holders, f"heldBy({b}) drifted"
         # A target skipped as clean must have no refiner pair.
         pred = e.k.predecessors
         for c in order:
@@ -120,7 +117,7 @@ class InvariantChecks:
                 assert b in up[c] or all(s in count[c] for s in blk.local_bottoms), (
                     f"clean target {c} has a refiner pair from {b}"
                 )
-                assert all(d in up[c] or c in bcount[d] for d in blk.bottom_blocks), (
+                assert all(d in up[c] or c in bcount[d] for d in holding_bottoms[b]), (
                     f"clean target {c} has a refiner pair from {b}"
                 )
         if self.oracle_pairs is None:

@@ -35,6 +35,15 @@ def by_members(engine: RefinementEngine) -> dict[frozenset, int]:
     return {frozenset(engine.members(b)): b for b in engine.order}
 
 
+def _blocks_holding_bottoms(e: RefinementEngine, b: int) -> set[int]:
+    """The blocks above ``b``, ``b`` excluded, that hold a bottom state
+    of its candidate set: a member with no successor in the blocks
+    above ``b``, read from ``count`` and the block members."""
+    return {
+        d for d in e.up[b] if d != b and any(x not in e.count[b] for x in e.members(d))
+    }
+
+
 # -- initialization -------------------------------------------------------
 
 
@@ -50,7 +59,7 @@ def test_initialize_f2_counters(f2):
     assert e.blocks[b_p].local_bottoms == [0, 3]
     assert e.blocks[b_q].local_bottoms == [1, 4]
     for b in e.order:
-        assert e.blocks[b].bottom_blocks == set()
+        assert _blocks_holding_bottoms(e, b) == set()
     assert e.bcount[b_p][b_q] == 2 and e.bcount[b_p][b_r] == 1
 
 
@@ -227,8 +236,8 @@ def test_update_f2_bookkeeping(f2):
     for x in range(5):
         assert e.count[new].get(x, 0) == e.count[parent].get(x, 0)
     # sibling halves hold each other's bottom states
-    assert e.blocks[new].bottom_blocks == {parent}
-    assert e.blocks[parent].bottom_blocks == {new}
+    assert _blocks_holding_bottoms(e, new) == {parent}
+    assert _blocks_holding_bottoms(e, parent) == {new}
 
 
 def test_refine_f2_prunes_one_direction(f2):
@@ -239,8 +248,8 @@ def test_refine_f2_prunes_one_direction(f2):
     e.refine([0])
     assert parent not in e.up[new]
     assert new in e.up[parent]
-    assert e.blocks[new].bottom_blocks == set()
-    assert e.blocks[parent].bottom_blocks == {new}
+    assert _blocks_holding_bottoms(e, new) == set()
+    assert _blocks_holding_bottoms(e, parent) == {new}
 
 
 def test_refine_whole_state_set_removes_nothing():
@@ -343,17 +352,19 @@ def test_refiner_absent_iff_checker_accepts(seed):
 def _first_refiner(e: RefinementEngine) -> tuple[int, int] | None:
     """The refiner search by definition: every (B, C) pair, target-major,
     that has a transition from B into C, tested against the two
-    bottom-state conditions with no marks and no skips."""
+    bottom-state conditions with no marks and no skips.  Bottom states
+    come from ``count`` and the block members, not the engine's lists."""
     for c in e.order:
         for b in e.order:
             if not any(
                 e.block_of[y] == c for x in e.members(b) for y in e.k.successors[x]
             ):
                 continue
-            blk = e.blocks[b]
-            if b not in e.up[c] and any(s not in e.count[c] for s in blk.local_bottoms):
+            bottoms = [x for x in e.members(b) if x not in e.count[b]]
+            if b not in e.up[c] and any(s not in e.count[c] for s in bottoms):
                 return (b, c)
-            if any(d not in e.up[c] and c not in e.bcount[d] for d in blk.bottom_blocks):
+            holding = _blocks_holding_bottoms(e, b)
+            if any(d not in e.up[c] and c not in e.bcount[d] for d in holding):
                 return (b, c)
     return None
 
@@ -418,7 +429,7 @@ def test_sparse_300_pins_refiner_sequence():
     result = compute_preorder(k)
     stats = result.stats
     assert (stats.iterations, stats.blocks_created, stats.final_blocks) == (410, 450, 229)
-    assert stats.targets_visited == 1045
+    assert stats.targets_visited == 957
     assert check_preorder(k, result.state_pairs()).accepted
 
 
@@ -433,8 +444,7 @@ def test_sparse_300_tables_hold_only_nonzero_entries():
 
 def test_refine_leaves_pruned_rows_compact():
     # A set keeps its table size when entries are discarded, so a row
-    # or bottom-block set that is not rebuilt after pruning keeps the
-    # size of its peak.
+    # that is not rebuilt after pruning keeps the size of its peak.
     e = RefinementEngine(generate_random_ks(7, 300, 2 / 300, 4))
     refine, pruned = e.refine, 0
 
@@ -446,8 +456,6 @@ def test_refine_leaves_pruned_rows_compact():
             if len(e.up[b]) < size:
                 pruned += 1
                 assert sys.getsizeof(e.up[b]) <= sys.getsizeof(set(e.up[b])), b
-                bb = e.blocks[b].bottom_blocks
-                assert sys.getsizeof(bb) <= sys.getsizeof(set(bb)), b
 
     e.refine = checked_refine
     e.run()
