@@ -21,7 +21,6 @@ from .model import (
     RunStats,
     SimulationResult,
     ValidationError,
-    labeling_partition,
     validate_partition,
     validate_preorder,
 )
@@ -53,10 +52,10 @@ def _validate_candidate(
     k: KripkeStructure,
     blocks: Sequence[Sequence[int]],
     pairs: Iterable[tuple[int, int]],
-) -> tuple[list[list[int]], list[set[int]]]:
+) -> tuple[list[int], list[set[int]]]:
     """The candidate with each class of mutually related blocks merged
-    into one block, so that its block relation is antisymmetric, and
-    each merged block's up-set.
+    into one block, so that its block relation is antisymmetric: the
+    merged block of each state, and each merged block's up-set.
 
     A same-label cycle must lie inside one merged block: the engine
     collapses cycles within a block and orders the rest of the states
@@ -72,15 +71,14 @@ def _validate_candidate(
                     f"related blocks differ in label; offending block "
                     f"{sorted(blocks[j])}"
                 )
-    merged = [[s for i in members for s in blocks[i]] for members in classes]
+    merged_of = [class_of[b] for b in block_of]
     for comp in strongly_connected_components(k.successors, k.labels, k.states()):
-        cut = sorted({class_of[block_of[s]] for s in comp})
+        cut = sorted({merged_of[s] for s in comp})
         if len(cut) > 1:
-            raise ValidationError(
-                f"candidate blocks {[sorted(merged[c]) for c in cut]} cut the "
-                f"same-label cycle through states {comp}"
-            )
-    return merged, [{class_of[j] for j in above} for above in ups]
+            merged = [[s for s in k.states() if merged_of[s] == c] for c in cut]
+            message = f"candidate blocks {merged} cut the same-label cycle"
+            raise ValidationError(f"{message} through states {comp}")
+    return merged_of, [{class_of[j] for j in above} for above in ups]
 
 
 def _combined_block_order(
@@ -140,28 +138,25 @@ class RefinementEngine:
         candidate: CandidatePR | None = None,
         debug: bool = False,
     ):
-        self.original = k
-        if candidate is None:
-            blocks0: list[list[int]] = labeling_partition(k)
-            up0 = [{i} for i in range(len(blocks0))]
+        if candidate is None:  # the label classes, in least-member order
+            label_id: dict[frozenset[str], int] = {}
+            block_of0 = [label_id.setdefault(lab, len(label_id)) for lab in k.labels]
+            up0 = [{i} for i in range(len(label_id))]
         else:
-            blocks0, up0 = _validate_candidate(k, candidate[0], candidate[1])
-
-        block_of0 = [0] * k.num_states
-        for i, members in enumerate(blocks0):
-            for s in members:
-                block_of0[s] = i
+            block_of0, up0 = _validate_candidate(k, candidate[0], candidate[1])
         # One least-first Kahn serves the collapse and, when nothing
         # collapses, the state sort: it reads the grouping only through
         # equality, and the sort's classes are this same partition.
         topo = topological_order(k.successors, block_of0)
         self.k, self.collapse = collapse_inert_sccs(k, block_of0, topo)
-        m = len(blocks0)
+        m = len(up0)
 
         # Block ids 0..m-1 are the (merged) candidate block indices;
         # identifiers allocated later by splits are never reused.  An
         # inert SCC lies inside one block.
-        self.block_of = [block_of0[ms[0]] for ms in self.collapse.members]
+        self.block_of = block_of0
+        if self.k is not k:
+            self.block_of = [block_of0[ms[0]] for ms in self.collapse.members]
         self.order: list[int] = _combined_block_order(self.k, up0, self.block_of)
         coll_members: list[list[int]] = [[] for _ in range(m)]
         for s, b in enumerate(self.block_of):
@@ -478,19 +473,15 @@ class RefinementEngine:
         return self._build_result()
 
     def _build_result(self) -> SimulationResult:
-        # The relation is antisymmetric, so each block is one class.
-        expanded = {
-            b: sorted(s0 for s in self.members(b) for s0 in self.collapse.members[s])
-            for b in self.order
-        }
-        canon = sorted(self.order, key=lambda b: expanded[b][0])
-        rank = {b: i for i, b in enumerate(canon)}
-        blocks = [expanded[b] for b in canon]
-        preorder = {(rank[b], rank[c]) for b in canon for c in self.up[b]}
-        block_of = [0] * self.original.num_states
-        for i, members in enumerate(blocks):
-            for s in members:
-                block_of[s] = i
+        # The relation is antisymmetric, so each block is one class.  Read in
+        # state order, classes come in least-member order, members ascending.
+        bo = map(self.block_of.__getitem__, self.collapse.of)
+        rank: dict[int, int] = {}
+        block_of = [rank.setdefault(b, len(rank)) for b in bo]
+        blocks: list[list[int]] = [[] for _ in rank]
+        for s, i in enumerate(block_of):
+            blocks[i].append(s)
+        preorder = {(rank[b], rank[c]) for b in self.order for c in self.up[b]}
         stats = RunStats(
             iterations=self.iterations,
             blocks_created=self.blocks_created,

@@ -16,13 +16,11 @@ from __future__ import annotations
 import random
 import re
 from itertools import chain
-from operator import itemgetter
 from typing import Iterable, NoReturn
 
 from .model import KripkeStructure, SimulationResult, ValidationError
 
 _ATOM_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\Z")
-_atoms = itemgetter(slice(2, None))  # of a label line
 
 
 class ParseError(ValueError):
@@ -32,17 +30,18 @@ class ParseError(ValueError):
         self.column = column
 
 
-def _token_lines(text: str) -> list[list[str]]:
-    """The tokens of every line, ``#`` comments stripped."""
+def _lines(text: str) -> list[str]:
+    """The lines holding a token, ``#`` comments stripped."""
     lines = text.splitlines()
     if "#" in text:
         lines = [line.split("#", 1)[0] for line in lines]
-    return list(map(str.split, lines))
+    return list(filter(str.strip, lines))
 
 
 def _content_lines(text: str) -> list[tuple[int, list[str]]]:
-    """Non-empty lines as (line number, tokens)."""
-    return [(i, t) for i, t in enumerate(_token_lines(text), 1) if t]
+    """Lines holding a token as (line number, tokens)."""
+    lines = enumerate(text.splitlines(), 1)
+    return [(i, t) for i, line in lines if (t := line.split("#", 1)[0].split())]
 
 
 def _error(text: str, message: str, lineno: int, index: int) -> ParseError:
@@ -81,40 +80,43 @@ def _in_range(pairs: Iterable[tuple[int, int]], n: int) -> bool:
     return min(ids(pairs), default=0) >= 0 and max(ids(pairs), default=-1) < n
 
 
-def _model(lines: list[list[str]]) -> KripkeStructure | None:
-    """The model of well-formed token lines, checked a section at a time
-    in bulk; None when any check fails.  Equal labels share one
-    frozenset."""
+def _model(text: str) -> KripkeStructure | None:
+    """The model of a well-formed text, checked a section at a time in
+    bulk, or None.  Lines are split one at a time and freed before the
+    model is built; equal labels share one frozenset."""
+    lines = _lines(text)
     try:
-        keyword, count = lines[0]
+        keyword, count = lines[0].split()
         n = int(count)
         if keyword != "states" or not 0 <= n <= len(lines) - 2:
             return None
-        keyword, count = lines[n + 1]
+        keyword, count = lines[n + 1].split()
         if keyword != "transitions" or int(count) != len(lines) - n - 2:
             return None
-        label_lines = lines[1 : n + 1]
-        ids = map(int, map(itemgetter(1), label_lines))
-        atoms_of = dict(zip(ids, map(tuple, map(_atoms, label_lines))))
-        transitions = [(int(u), int(v)) for u, v in lines[n + 2 :]]
+        label_lines = map(str.split, lines[1 : n + 1])
+        # A line with another keyword is left out, so the ids fall short.
+        atoms_of = {int(i): tuple(a) for kw, i, *a in label_lines if kw == "label"}
+        transitions = [(int(u), int(v)) for u, v in map(str.split, lines[n + 2 :])]
     except (ValueError, IndexError):
         return None
+    del lines
     distinct = set(atoms_of.values())
     if (
-        set(map(itemgetter(0), label_lines)) - {"label"}
-        or atoms_of.keys() != set(range(n))  # ids are a permutation
+        atoms_of.keys() != set(range(n))  # ids are a permutation
         or not all(map(_ATOM_RE.match, set().union(*distinct)))
         or not _in_range(transitions, n)
     ):
         return None
     shared = {lab: lab for lab in map(frozenset, distinct)}  # equal sets: one object
     label_of = {atoms: shared[frozenset(atoms)] for atoms in distinct}
-    return KripkeStructure(n, transitions, [label_of[atoms_of[s]] for s in range(n)])
+    labels = [label_of[atoms_of[s]] for s in range(n)]
+    del atoms_of
+    return KripkeStructure(n, transitions, labels)
 
 
 def parse_ks(text: str) -> KripkeStructure:
     """Parse the model grammar; raises ParseError with line/column."""
-    model = _model(list(filter(None, _token_lines(text))))
+    model = _model(text)
     if model is None:
         _raise_model_error(text)
     return model
@@ -193,7 +195,7 @@ def serialize_result(result: SimulationResult, full: bool = False) -> str:
 def parse_relation(text: str, k: KripkeStructure) -> set[tuple[int, int]]:
     """Parse 'u v' lines into a relation; duplicates are ignored."""
     try:
-        pairs = {(int(u), int(v)) for u, v in filter(None, _token_lines(text))}
+        pairs = {(int(u), int(v)) for u, v in map(str.split, _lines(text))}
         if _in_range(pairs, k.num_states):
             return pairs
     except ValueError:

@@ -154,17 +154,11 @@ def validate_preorder(
         if s not in up[s]:
             raise NotAPreorderError("relation is not reflexive", (s, s))
     class_id: dict[frozenset[int], int] = {}
-    class_of = [0] * size
-    classes: list[list[int]] = []
-    ups: list[frozenset[int]] = []
-    for s in range(size):
-        key = frozenset(up[s])
-        c = class_id.setdefault(key, len(classes))
-        if c == len(classes):
-            classes.append([])
-            ups.append(key)
+    class_of = [class_id.setdefault(frozenset(row), len(class_id)) for row in up]
+    ups = list(class_id)
+    classes: list[list[int]] = [[] for _ in ups]
+    for s, c in enumerate(class_of):
         classes[c].append(s)
-        class_of[s] = c
     for c, above in enumerate(ups):
         met = {class_of[t] for t in above}
         if not all(ups[d] <= above for d in met):

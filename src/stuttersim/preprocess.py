@@ -9,16 +9,28 @@ block preorder.  Everything here is a pure function.
 from __future__ import annotations
 
 from heapq import heappop, heappush
+from itertools import groupby
 from typing import Iterable, NamedTuple, Sequence
 
 from .model import KripkeStructure, ValidationError
 
 
 class CollapseMap(NamedTuple):
-    """Mapping between original states and collapsed states."""
+    """Mapping between original states and collapsed states: ``of[s]`` is
+    the collapsed state of original state ``s``.  When nothing collapses
+    it is a ``range``, so the identity map stores nothing per state."""
 
-    representative: list[int]
-    members: list[list[int]]
+    of: Sequence[int]
+
+    @property
+    def representative(self) -> list[int]:
+        return list(self.of)
+
+    @property
+    def members(self) -> list[list[int]]:
+        """The original states of each collapsed state, ascending."""
+        states = sorted(range(len(self.of)), key=self.of.__getitem__)  # stable
+        return [list(group) for _, group in groupby(states, self.of.__getitem__)]
 
 
 def strongly_connected_components(
@@ -100,7 +112,7 @@ def collapse_inert_sccs(
     if topo is None:
         topo = topological_order(k.successors, block_of)
     if len(topo) == n:
-        return k, CollapseMap(list(range(n)), [[s] for s in range(n)])
+        return k, CollapseMap(range(n))
     sccs = strongly_connected_components(k.successors, block_of, range(n))
     sccs.sort(key=lambda c: c[0])
     representative = [0] * n
@@ -114,7 +126,7 @@ def collapse_inert_sccs(
     )
     labels = [k.labels[comp[0]] for comp in sccs]
     collapsed = KripkeStructure(len(sccs), edges, labels)
-    return collapsed, CollapseMap(representative, sccs)
+    return collapsed, CollapseMap(representative)
 
 
 def topological_order(

@@ -61,6 +61,18 @@ def transitive_closure(pairs: set[tuple[int, int]]) -> set[tuple[int, int]]:
     return closed
 
 
+def stutter_chain(length: int) -> KripkeStructure:
+    """p-chain into a q-sink, plus a lone p-state with an r-move.
+
+    The lone state forces one genuine split of the p-class; the class
+    count (4) and the refinement work stay fixed as the chain doubles.
+    """
+    chain = [(i, i + 1) for i in range(length)]  # state `length` is the q-sink
+    solo, r_sink = length + 1, length + 2
+    labels = [["p"]] * length + [["q"], ["p"], ["r"]]
+    return KripkeStructure(length + 3, chain + [(solo, r_sink)], labels)
+
+
 def reachable(
     successors: list[list[int]], group: list[int], v: int
 ) -> set[int]:

@@ -26,7 +26,7 @@ from stuttersim import (
 )
 from stuttersim.selftest import split_ordering_check, split_refine_check
 
-from conftest import pairs_of, transitive_closure
+from conftest import pairs_of, stutter_chain, transitive_closure
 
 DENSITIES = (0.1, 0.25, 0.5)
 
@@ -148,22 +148,10 @@ def test_criterion_7_logic_preservation():
     print("PASS criterion 7: 500 random formulas denote unions of result blocks")
 
 
-def _stutter_chain(length: int) -> KripkeStructure:
-    """p-chain into a q-sink, plus a lone p-state with an r-move.
-
-    The lone state forces one genuine split of the p-class; the class
-    count (4) and the refinement work stay fixed as the chain doubles.
-    """
-    chain = [(i, i + 1) for i in range(length)]  # state `length` is the q-sink
-    solo, r_sink = length + 1, length + 2
-    labels = [["p"]] * length + [["q"], ["p"], ["r"]]
-    return KripkeStructure(length + 3, chain + [(solo, r_sink)], labels)
-
-
 def test_criterion_8_chain_scaling_smoke():
     iterations = []
     for length in (8, 16, 32, 64):
-        result = compute_preorder(_stutter_chain(length))
+        result = compute_preorder(stutter_chain(length))
         assert len(result.blocks) == 4  # the class count stays fixed
         assert len(result.blocks[0]) == length  # the chain stays one class
         iterations.append(result.stats.iterations)

@@ -42,7 +42,8 @@ def test_round_trip_ignores_comments(f1):
 def test_round_trip_random(seed):
     """The canonical text and noisy variants of it parse to one model:
     comments, CRLF line ends, tabs, blank lines between and inside the
-    sections, and label lines out of id order."""
+    sections, lines of Unicode whitespace only, the other line breaks
+    of ``str.splitlines``, and label lines out of id order."""
     k = generate_random_ks(seed, 1 + seed % 9, 0.4, 1 + seed % 3)
     text = serialize_ks(k)
     lines = text.splitlines()
@@ -55,6 +56,8 @@ def test_round_trip_random(seed):
         text.replace(" ", "\t"),
         "\n".join(head + [""] + labels + ["", "  ", "# edges"] + edges + ["\n"]),
         "\n".join(head + labels[::-1] + edges[:1] + ["", *edges[1:]]) + "\n",
+        text.replace("\n", "\n\u3000\n \x0c\t"),
+        text.replace("\n", "\x85\u2028"[seed % 2 :]),
     ]
     for variant in variants:
         assert parse_ks(variant) == k
@@ -131,6 +134,7 @@ def test_serialize_result_single_block():
 def test_parse_relation(f2):
     pairs = parse_relation("0 0\n3 0\n3 0\n# dup ignored\n", f2)
     assert pairs == {(0, 0), (3, 0)}
+    assert parse_relation("\u3000\n0 0\x0c3 0\x85\u2028 \n3 0", f2) == pairs
     assert parse_relation("", f2) == set()
     with pytest.raises(ParseError, match="dangling state id"):
         parse_relation("0 7\n", f2)
@@ -239,6 +243,26 @@ _HEAD5 = "states 5\n" + "".join(f"label {s}\n" for s in range(5))
         ("0 9\n0 x\n", 3, "dangling state id 9", 1, 3),
         ("# c\n\n0 1\n  # d\n\n2 x\n", 3, "expected a state id, got 'x'", 6, 3),
         ("0 1\n\n# c\n1 3 # far\n", 3, "dangling state id 3", 4, 3),
+        # Lines of Unicode whitespace only are blank in every section, and
+        # every line break of ``str.splitlines`` ends a line ("\x0c" is both).
+        ("\u3000\n\x0c\nstates x\n", None, "expected a state count, got 'x'", 4, 8),
+        ("states 2\n\u3000\nlabel 0 p\n \x0c \nlabel 0 q\n", None,
+         "duplicate state declaration 0", 6, 7),
+        ("states 3\nlabel 0 p\n\u3000\nlabel 1 p\n\x0c\n", None,
+         "expected 3 label lines", 4, 1),
+        (_HEAD + "\u3000\ntransitions 1\n\x0c\n\u3000 \n0 x\n", None,
+         "expected a state id, got 'x'", 8, 3),
+        (_HEAD + "transitions 2\n\u3000\n0 0\n\x0c\n", None,
+         "expected 2 transition lines", 5, 1),
+        ("\x85states 2\x85label 0 p\u2028label 0 q\x85", None,
+         "duplicate state declaration 0", 4, 7),
+        ("states 1\u2028label 0 9p\x85", None, "invalid atom '9p'", 2, 9),
+        (_HEAD + "transitions 1\x85\u2028 0 x\u2028", None,
+         "expected a state id, got 'x'", 5, 4),
+        (_HEAD + "transitions 2\x850 0\u2028", None, "expected 2 transition lines", 4, 1),
+        ("0 1\n\u3000\n\x0c\n2 x\n", 3, "expected a state id, got 'x'", 5, 3),
+        ("\u3000\n0 1\x850 0\u2028 3 0\n", 3, "dangling state id 3", 4, 2),
+        ("0 1\x85\u2028\x0c1 3\n", 3, "dangling state id 3", 4, 3),
     ],
 )
 def test_parse_error_positions(text, relation_states, message, line, column):
