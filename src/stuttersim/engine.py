@@ -12,8 +12,7 @@ the refiner search correct.
 
 from __future__ import annotations
 
-from collections import Counter
-from itertools import chain, compress, repeat
+from itertools import compress, repeat
 from typing import Callable, Iterable, Sequence
 
 from .model import (
@@ -102,10 +101,11 @@ def _combined_block_order(
         for j in above:
             if i != j:
                 succs[j].add(i)  # i below j: j first
-    for s, t in k.transitions:
-        bs, bt = block_of[s], block_of[t]
-        if bs != bt and k.labels[s] == k.labels[t]:
-            succs[bs].add(bt)  # source block first
+    for s, lst in enumerate(k.successors):
+        for t in lst:
+            bs, bt = block_of[s], block_of[t]
+            if bs != bt and k.labels[s] == k.labels[t]:
+                succs[bs].add(bt)  # source block first
     out = topological_order(succs, bytes(m))
     if len(out) != m:
         raise ValidationError(
@@ -226,7 +226,10 @@ class RefinementEngine:
         count, bcount, blocks = self.count, self.bcount, self.blocks
         bo, pred = self.block_of, self.k.predecessors
         for c in self.order:
-            count[c] = col = dict(Counter(x for y in self.image(c) for x in pred[y]))
+            count[c] = col = {}
+            for y in self.image(c):
+                for x in pred[y]:
+                    col[x] = col.get(x, 0) + 1
             for x, v in col.items():
                 brow = bcount[bo[x]]
                 brow[c] = brow.get(c, 0) + v
@@ -243,24 +246,25 @@ class RefinementEngine:
             out.extend(self.members(c))
         return out
 
-    def pos_ordered(self, s_list: Sequence[int], t_list: Sequence[int]) -> list[int]:
-        """Members of ``s_list`` reaching ``t_list`` through ``s_list``.
+    def pos_ordered(self, s_list: Sequence[int], c: int) -> list[int]:
+        """Members of ``s_list`` reaching ``image(c)`` through ``s_list``.
 
         One backward scan; requires ``s_list`` to be a same-label
-        sublist of the state list.  Seeds are the members of ``s_list``
-        that already lie in ``t_list`` (the zero-length path) or step
-        directly into it.  The result is a sublist of ``s_list``.
+        sublist of the state list.  The seeds come from the tables: the
+        members of ``s_list`` in ``image(c)`` (block above ``c``) or
+        stepping into it (an entry of ``count[c]``).  A found state adds
+        all its predecessors; the scan never visits those outside
+        ``s_list``, and the result, a sublist of ``s_list``, drops them.
         """
-        pred = self.k.predecessors
-        inside = set(s_list)
-        seeds = chain(t_list, chain.from_iterable(map(pred.__getitem__, t_list)))
-        found = inside.intersection(seeds)
+        pred, bo = self.k.predecessors, self.block_of
+        col, above = self.count[c], self.up[c]
+        found = {x for x in s_list if x in col or bo[x] in above}
         for y in reversed(s_list):
             if y in found:
-                found.update(inside.intersection(pred[y]))
+                found.update(pred[y])
         result = [s for s in s_list if s in found]
         if self.checks:
-            self.checks.pos_ordered(s_list, t_list, result)
+            self.checks.pos_ordered(s_list, c, result)
         return result
 
     def find_refiner(self) -> tuple[int, int] | None:
@@ -344,13 +348,11 @@ class RefinementEngine:
             ss = inside[p]
             if len(ss) == blk.end - blk.begin:
                 continue  # whole block inside the splitter: no split
-            in_s = set(ss)
-            ds = [x for x in self.state_list[blk.begin : blk.end] if x not in in_s]
             nid = self._new_block(p, blk.begin, blk.begin + len(ss))
-            newseq = ss + ds
-            self.state_list[blk.begin : blk.end] = newseq
             for x in ss:
                 bo[x] = nid
+            ds = [x for x in self.state_list[blk.begin : blk.end] if bo[x] == p]
+            self.state_list[blk.begin : blk.end] = ss + ds
             blk.begin += len(ss)
             self.order.insert(self.order.index(p), nid)
             pairs.append((p, nid))
@@ -460,9 +462,7 @@ class RefinementEngine:
             b, c = found
             if checks:
                 checks.refiner(b, c)
-            src = self.image(b)
-            dst = self.image(c)
-            splitter = self.pos_ordered(src, dst)
+            splitter = self.pos_ordered(self.image(b), c)
             self.splitting_procedure(splitter)
             self.refine(splitter)
             self.iterations += 1

@@ -169,9 +169,9 @@ def serialize_ks(k: KripkeStructure) -> str:
     for s in k.states():
         atoms = " ".join(sorted(k.labels[s]))
         lines.append(f"label {s} {atoms}".rstrip())
-    lines.append(f"transitions {len(k.transitions)}")
-    for s, t in k.transitions:
-        lines.append(f"{s} {t}")
+    lines.append(f"transitions {sum(map(len, k.successors))}")
+    for s, lst in enumerate(k.successors):
+        lines.extend(f"{s} {t}" for t in lst)
     return "\n".join(lines) + "\n"
 
 

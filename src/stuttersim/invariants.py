@@ -29,16 +29,15 @@ class InvariantChecks:
         self.initial_pairs = current_state_pairs(e)
         self.oracle_pairs: set[tuple[int, int]] | None = None
 
-    def pos_ordered(
-        self, s_list: Sequence[int], t_list: Sequence[int], result: list[int]
-    ) -> None:
-        """Shadow-check the one-pass reachability against the naive one."""
+    def pos_ordered(self, s_list: Sequence[int], c: int, result: list[int]) -> None:
+        """Shadow-check the one-pass reachability against the naive one,
+        with targets from the partition and relation, not the counters."""
         e = self.e
         position = {s: i for i, s in enumerate(e.state_list)}
         positions = [position[s] for s in s_list]
         assert positions == sorted(positions), "source is not a state-list sublist"
         assert len({e.k.labels[s] for s in s_list}) <= 1, "source mixes labels"
-        assert set(result) == pos_naive(e.k, s_list, t_list), (
+        assert set(result) == pos_naive(e.k, s_list, e.image(c)), (
             "ordered reachability disagrees with naive computation"
         )
 

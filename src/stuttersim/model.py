@@ -31,10 +31,10 @@ class KripkeStructure:
     """Finite transition system with a labeling of states by atom sets.
 
     The transition relation need not be total.  Instances are treated as
-    immutable after construction.  The edges are stored once, as sorted
-    duplicate-free successor lists; the predecessor lists and the sorted
-    ``transitions`` list are derived from them and shared by every
-    algorithm.
+    immutable after construction.  It stores the edges as sorted
+    duplicate-free successor lists and the predecessor lists derived
+    from them, and nothing else per edge: ``transitions`` builds the
+    sorted edge list on each read.
     """
 
     def __init__(
@@ -64,9 +64,11 @@ class KripkeStructure:
                 pred[t].append(s)  # in state order, so sorted
         self.successors: list[list[int]] = succ
         self.predecessors: list[list[int]] = pred
-        self.transitions: list[tuple[int, int]] = [
-            (s, t) for s, lst in enumerate(succ) for t in lst
-        ]
+
+    @property
+    def transitions(self) -> list[tuple[int, int]]:
+        """The edges as ``(source, target)`` pairs, sorted."""
+        return [(s, t) for s, lst in enumerate(self.successors) for t in lst]
 
     @cached_property
     def atoms(self) -> frozenset[str]:
@@ -81,16 +83,16 @@ class KripkeStructure:
         return (
             self.num_states == other.num_states
             and self.labels == other.labels
-            and self.transitions == other.transitions
+            and self.successors == other.successors
         )
 
     def __hash__(self):  # pragma: no cover - not used as dict key in hot paths
-        return hash((self.num_states, self.labels, tuple(self.transitions)))
+        return hash((self.num_states, self.labels, tuple(map(tuple, self.successors))))
 
     def __repr__(self) -> str:
         return (
             f"KripkeStructure(states={self.num_states}, "
-            f"transitions={len(self.transitions)})"
+            f"transitions={sum(map(len, self.successors))})"
         )
 
 
@@ -178,14 +180,12 @@ def quotient(
     is an edge between distinct blocks iff some member steps into the
     other block, and a self-loop iff a block has an internal transition.
     """
-    block_of = validate_partition(k, blocks)
-    order = sorted(range(len(blocks)), key=lambda i: min(blocks[i]))
-    rank = [0] * len(blocks)
-    for q, i in enumerate(order):
-        rank[i] = q
-    labels = [k.labels[blocks[i][0]] for i in order]
-    edges = ((rank[block_of[s]], rank[block_of[t]]) for s, t in k.transitions)
-    return KripkeStructure(len(order), edges, labels)
+    # Numbered by first occurrence in state order: by least member.
+    rank: dict[int, int] = {}
+    q_of = [rank.setdefault(b, len(rank)) for b in validate_partition(k, blocks)]
+    labels = [k.labels[blocks[i][0]] for i in rank]
+    edges = ((q_of[s], q_of[t]) for s, lst in enumerate(k.successors) for t in lst)
+    return KripkeStructure(len(rank), edges, labels)
 
 
 class RunStats(NamedTuple):

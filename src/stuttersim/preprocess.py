@@ -23,10 +23,6 @@ class CollapseMap(NamedTuple):
     of: Sequence[int]
 
     @property
-    def representative(self) -> list[int]:
-        return list(self.of)
-
-    @property
     def members(self) -> list[list[int]]:
         """The original states of each collapsed state, ascending."""
         states = sorted(range(len(self.of)), key=self.of.__getitem__)  # stable
@@ -121,7 +117,8 @@ def collapse_inert_sccs(
             representative[s] = new_id
     edges = (
         (representative[s], representative[t])
-        for s, t in k.transitions
+        for s, lst in enumerate(k.successors)
+        for t in lst
         if representative[s] != representative[t]  # no inert self-loop
     )
     labels = [k.labels[comp[0]] for comp in sccs]
@@ -188,7 +185,8 @@ def is_locally_topological(k: KripkeStructure, order: Sequence[int]) -> bool:
         pos[s] = i
     return all(
         pos[s] < pos[t]
-        for s, t in k.transitions
+        for s, lst in enumerate(k.successors)
+        for t in lst
         if k.labels[s] == k.labels[t]
     )
 

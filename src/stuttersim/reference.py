@@ -65,11 +65,12 @@ def simulator_sets(
         cls = set(members)
         for x in members:
             sim[x] = set(cls)
+    edges = k.transitions
     while True:
         if observer is not None:
             observer(sim)
         refiners = []
-        for x, y in k.transitions:
+        for x, y in edges:
             reach = pos_naive(k, sim[x], sim[y])
             if not sim[x] <= reach:
                 refiners.append((x, y, reach))

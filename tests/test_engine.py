@@ -138,30 +138,43 @@ def test_image_is_ordered_sublist():
 
 def test_pos_ordered_empty(f1):
     e = RefinementEngine(f1)
-    assert e.pos_ordered([], [3, 4]) == []
+    assert e.image(e.block_of[3]) == [3, 4]
+    assert e.pos_ordered([], e.block_of[3]) == []
 
 
 def test_pos_ordered_f1(f1):
     e = RefinementEngine(f1)
     src = e.image(e.block_of[0])
-    dst = e.image(e.block_of[3])
-    assert e.pos_ordered(src, dst) == [0, 1, 2]
+    assert e.pos_ordered(src, e.block_of[3]) == [0, 1, 2]
 
 
 def test_pos_ordered_f2(f2):
     e = RefinementEngine(f2)
-    assert e.pos_ordered([0, 3], [2]) == [0]
+    assert e.image(e.block_of[2]) == [2]
+    assert e.pos_ordered([0, 3], e.block_of[2]) == [0]
+
+
+def _assert_pos_ordered_matches_naive(e: RefinementEngine) -> None:
+    for b in e.order:
+        src = e.image(b)
+        for c in e.order:
+            naive = pos_naive(e.k, src, e.image(c))
+            assert set(e.pos_ordered(src, c)) == naive, (b, c)
 
 
 @pytest.mark.parametrize("seed", range(40))
 def test_pos_ordered_matches_naive(seed):
+    """Every block pair, at init and after each main-loop step, so the
+    seeds are read from counter columns that splits copied and
+    ``refine`` decremented."""
     k = generate_random_ks(9000 + seed, 2 + seed % 8, 0.35, 1 + seed % 3)
     e = RefinementEngine(k)
-    rng = random.Random(seed)
-    for b in e.order:
-        src = e.image(b)
-        t = [s for s in e.state_list if rng.random() < 0.5]
-        assert set(e.pos_ordered(src, t)) == pos_naive(e.k, src, t)
+    _assert_pos_ordered_matches_naive(e)
+    while (found := e.find_refiner()) is not None:
+        splitter = e.pos_ordered(e.image(found[0]), found[1])
+        e.splitting_procedure(splitter)
+        e.refine(splitter)
+        _assert_pos_ordered_matches_naive(e)
 
 
 def test_find_refiner_f2_initial(f2):
@@ -344,7 +357,7 @@ def test_refiner_absent_iff_checker_accepts(seed):
         assert verdict.accepted == (found is None)
         if found is None:
             break
-        splitter = e.pos_ordered(e.image(found[0]), e.image(found[1]))
+        splitter = e.pos_ordered(e.image(found[0]), found[1])
         e.splitting_procedure(splitter)
         e.refine(splitter)
 
@@ -375,7 +388,7 @@ def _assert_search_matches_definition(e: RefinementEngine) -> None:
         assert found == _first_refiner(e)
         if found is None:
             return
-        splitter = e.pos_ordered(e.image(found[0]), e.image(found[1]))
+        splitter = e.pos_ordered(e.image(found[0]), found[1])
         e.splitting_procedure(splitter)
         e.refine(splitter)
 

@@ -28,22 +28,31 @@ def traced(fn):
 
 
 @pytest.fixture(scope="module")
-def chain_text():
-    return serialize_ks(stutter_chain(CHAIN_LENGTH))
+def parsed():
+    """The parsed chain, the memory it holds and the parse's peak."""
+    chain_text = serialize_ks(stutter_chain(CHAIN_LENGTH))
+    return traced(lambda: parse_ks(chain_text))
 
 
-def test_parse_peak_at_most_twice_the_model(chain_text):
+def test_parse_peak_at_most_twice_the_model(parsed):
     """Only the line strings and one section's tokens live next to the
     model, and the lines go before the model is built."""
-    k, model, peak = traced(lambda: parse_ks(chain_text))
+    k, model, peak = parsed
     assert k.num_states == CHAIN_LENGTH + 3
     assert peak <= 2 * model, (peak, model)
 
 
-def test_engine_peak_above_the_model_under_four_fifths_of_it(chain_text):
+def test_model_holds_each_edge_once(parsed):
+    """The model keeps the successor and predecessor lists and no list
+    of edge tuples next to them."""
+    k, model, _ = parsed
+    assert model <= 280 * k.num_states, (model, k.num_states)
+
+
+def test_engine_peak_above_the_model_under_four_fifths_of_it(parsed):
     """Nothing collapses on the chain, so the engine builds no per-state
     collapse tables and expands its result in one pass."""
-    k, model, _ = traced(lambda: parse_ks(chain_text))
+    k, model, _ = parsed
     result, _, peak = traced(lambda: RefinementEngine(k).run())
     assert len(result.blocks) == 4
     assert peak <= 0.8 * model, (peak, model)

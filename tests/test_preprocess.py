@@ -45,7 +45,7 @@ def test_collapse_two_cycle():
     assert collapsed.num_states == 2
     assert collapsed.transitions == [(0, 1)]
     assert cmap.members == [[0, 1], [2]]
-    assert cmap.representative == [0, 0, 1]
+    assert list(cmap.of) == [0, 0, 1]
 
 
 def test_collapse_acyclic_identity(f1):
@@ -77,7 +77,7 @@ def test_collapse_returns_input_when_nothing_collapses(seed, monkeypatch):
             patch.setattr(preprocess, "strongly_connected_components", no_sccs)
             collapsed, cmap = collapse_inert_sccs(k, block_of(k))
         assert collapsed is k
-        assert cmap.representative == list(range(n))
+        assert list(cmap.of) == list(range(n))
         assert cmap.members == [[s] for s in range(n)]
     looped = KripkeStructure(n, forward + [(a, a)], labels)
     collapsed, _ = collapse_inert_sccs(looped, block_of(looped))
