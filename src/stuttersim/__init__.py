@@ -7,7 +7,7 @@ process imports only the modules it uses.
 __version__ = "0.1.0"
 
 _EXPORTS = {
-    "checker": ("CheckVerdict", "check_definition", "check_preorder"),
+    "checker": ("CheckVerdict", "check_preorder"),
     "engine": ("RefinementEngine", "compute_preorder"),
     "formats": (
         "ParseError",
@@ -26,17 +26,7 @@ _EXPORTS = {
         "quotient",
     ),
     "preprocess": ("CollapseMap", "collapse_inert_sccs"),
-    "reference": (
-        "Atom",
-        "And",
-        "ExistsUntil",
-        "NegAtom",
-        "Or",
-        "eval_formula",
-        "naive_stuttering_simulation",
-        "pos_naive",
-        "simulator_sets",
-    ),
+    "reference": ("naive_stuttering_simulation", "pos_naive", "simulator_sets"),
 }
 _MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
 

@@ -104,11 +104,6 @@ def check_preorder(
     return CheckVerdict(True)
 
 
-def check_definition(k: KripkeStructure, pairs: Iterable[tuple[int, int]]) -> bool:
-    """Definitional check, valid for any relation (preorder or not)."""
-    return find_definition_violation(k, pairs) is None
-
-
 def find_definition_violation(
     k: KripkeStructure, pairs: Iterable[tuple[int, int]]
 ) -> tuple[str, int, int, int] | None:

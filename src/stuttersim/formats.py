@@ -18,7 +18,7 @@ import re
 from itertools import chain
 from typing import Iterable, NoReturn
 
-from .model import KripkeStructure, SimulationResult, ValidationError
+from .model import KripkeStructure, SimulationResult, ValidationError, _Successors
 
 _ATOM_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\Z")
 
@@ -81,9 +81,11 @@ def _in_range(pairs: Iterable[tuple[int, int]], n: int) -> bool:
 
 
 def _model(text: str) -> KripkeStructure | None:
-    """The model of a well-formed text, checked a section at a time in
-    bulk, or None.  Lines are split one at a time and freed before the
-    model is built; equal labels share one frozenset."""
+    """The model of a well-formed text, or None.  Each line is split and
+    checked as it is read: a label line puts its state's label, one
+    frozenset per distinct label, into the label list, and a transition
+    line appends to its source's successor list.  The line strings are
+    freed before the predecessor lists are built."""
     lines = _lines(text)
     try:
         keyword, count = lines[0].split()
@@ -93,25 +95,28 @@ def _model(text: str) -> KripkeStructure | None:
         keyword, count = lines[n + 1].split()
         if keyword != "transitions" or int(count) != len(lines) - n - 2:
             return None
-        label_lines = map(str.split, lines[1 : n + 1])
-        # A line with another keyword is left out, so the ids fall short.
-        atoms_of = {int(i): tuple(a) for kw, i, *a in label_lines if kw == "label"}
-        transitions = [(int(u), int(v)) for u, v in map(str.split, lines[n + 2 :])]
+        labels: list[frozenset[str] | None] = [None] * n
+        shared: dict[frozenset[str], frozenset[str]] = {}
+        for keyword, sid, *atoms in map(str.split, lines[1 : n + 1]):
+            s = int(sid)
+            if keyword != "label" or not 0 <= s < n or labels[s] is not None:
+                return None  # the ids must be a permutation
+            label = frozenset(atoms)
+            if label not in shared:
+                if not all(map(_ATOM_RE.match, atoms)):
+                    return None
+                shared[label] = label
+            labels[s] = shared[label]
+        succ: list[list[int]] = [[] for _ in range(n)]
+        for u, v in map(str.split, lines[n + 2 :]):
+            s, t = int(u), int(v)
+            if not (0 <= s < n and 0 <= t < n):
+                return None
+            succ[s].append(t)
     except (ValueError, IndexError):
         return None
     del lines
-    distinct = set(atoms_of.values())
-    if (
-        atoms_of.keys() != set(range(n))  # ids are a permutation
-        or not all(map(_ATOM_RE.match, set().union(*distinct)))
-        or not _in_range(transitions, n)
-    ):
-        return None
-    shared = {lab: lab for lab in map(frozenset, distinct)}  # equal sets: one object
-    label_of = {atoms: shared[frozenset(atoms)] for atoms in distinct}
-    labels = [label_of[atoms_of[s]] for s in range(n)]
-    del atoms_of
-    return KripkeStructure(n, transitions, labels)
+    return KripkeStructure(n, _Successors(succ), labels)
 
 
 def parse_ks(text: str) -> KripkeStructure:
@@ -221,11 +226,11 @@ def generate_random_ks(
     if num_labels < 1:
         raise ValidationError("num_labels must be >= 1")
     rng = random.Random(seed)
-    labels = [[f"p{rng.randrange(num_labels)}"] for _ in range(num_states)]
-    transitions = [
-        (s, t)
-        for s in range(num_states)
-        for t in range(num_states)
-        if rng.random() < edge_density
+    picks = [rng.randrange(num_labels) for _ in range(num_states)]
+    shared = {i: frozenset([f"p{i}"]) for i in set(picks)}
+    succ = [
+        [t for t in range(num_states) if rng.random() < edge_density]
+        for _ in range(num_states)
     ]
-    return KripkeStructure(num_states, transitions, labels)
+    labels = [shared[i] for i in picks]
+    return KripkeStructure(num_states, _Successors(succ), labels)

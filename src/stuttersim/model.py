@@ -27,6 +27,13 @@ class NotAPreorderError(ValidationError):
         self.witness = witness
 
 
+class _Successors(NamedTuple):
+    """Checked successor lists, one per state, that a builder in this
+    package hands ``KripkeStructure`` with its labels already shared."""
+
+    lists: list[list[int]]
+
+
 class KripkeStructure:
     """Finite transition system with a labeling of states by atom sets.
 
@@ -34,7 +41,10 @@ class KripkeStructure:
     immutable after construction.  It stores the edges as sorted
     duplicate-free successor lists and the predecessor lists derived
     from them, and nothing else per edge: ``transitions`` builds the
-    sorted edge list on each read.
+    sorted edge list on each read.  Equal labels share one frozenset.
+    Every model is built here: the public form range-checks
+    ``transitions`` into successor lists and shares equal labels, and
+    the package's own builders pass ``_Successors`` instead.
     """
 
     def __init__(
@@ -50,12 +60,17 @@ class KripkeStructure:
                 f"expected {num_states} labels, got {len(labels)}"
             )
         self.num_states = num_states
-        self.labels: tuple[frozenset[str], ...] = tuple(map(frozenset, labels))
-        succ: list[list[int]] = [[] for _ in range(num_states)]
-        for s, t in transitions:
-            if not (0 <= s < num_states and 0 <= t < num_states):
-                raise ValidationError(f"transition ({s}, {t}) out of range")
-            succ[s].append(t)
+        if isinstance(transitions, _Successors):
+            succ = transitions.lists
+            self.labels: tuple[frozenset[str], ...] = tuple(labels)
+        else:
+            shared: dict[frozenset[str], frozenset[str]] = {}
+            self.labels = tuple(shared.setdefault(a, a) for a in map(frozenset, labels))
+            succ = [[] for _ in range(num_states)]
+            for s, t in transitions:
+                if not (0 <= s < num_states and 0 <= t < num_states):
+                    raise ValidationError(f"transition ({s}, {t}) out of range")
+                succ[s].append(t)
         pred: list[list[int]] = [[] for _ in range(num_states)]
         for s, lst in enumerate(succ):
             if len(lst) > 1:
@@ -183,9 +198,10 @@ def quotient(
     # Numbered by first occurrence in state order: by least member.
     rank: dict[int, int] = {}
     q_of = [rank.setdefault(b, len(rank)) for b in validate_partition(k, blocks)]
-    labels = [k.labels[blocks[i][0]] for i in rank]
-    edges = ((q_of[s], q_of[t]) for s, lst in enumerate(k.successors) for t in lst)
-    return KripkeStructure(len(rank), edges, labels)
+    ordered = [blocks[i] for i in rank]
+    succ = [[q_of[t] for s in members for t in k.successors[s]] for members in ordered]
+    labels = [k.labels[members[0]] for members in ordered]
+    return KripkeStructure(len(rank), _Successors(succ), labels)
 
 
 class RunStats(NamedTuple):

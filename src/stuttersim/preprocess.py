@@ -12,7 +12,7 @@ from heapq import heappop, heappush
 from itertools import groupby
 from typing import Iterable, NamedTuple, Sequence
 
-from .model import KripkeStructure, ValidationError
+from .model import KripkeStructure, ValidationError, _Successors
 
 
 class CollapseMap(NamedTuple):
@@ -115,14 +115,12 @@ def collapse_inert_sccs(
     for new_id, comp in enumerate(sccs):
         for s in comp:
             representative[s] = new_id
-    edges = (
-        (representative[s], representative[t])
-        for s, lst in enumerate(k.successors)
-        for t in lst
-        if representative[s] != representative[t]  # no inert self-loop
-    )
+    succ = [
+        [q for s in comp for t in k.successors[s] if (q := representative[t]) != r]
+        for r, comp in enumerate(sccs)
+    ]
     labels = [k.labels[comp[0]] for comp in sccs]
-    collapsed = KripkeStructure(len(sccs), edges, labels)
+    collapsed = KripkeStructure(len(sccs), _Successors(succ), labels)
     return collapsed, CollapseMap(representative)
 
 

@@ -11,14 +11,8 @@ import pytest
 
 from stuttersim import (
     KripkeStructure,
-    And,
-    Atom,
-    ExistsUntil,
-    NegAtom,
-    Or,
     check_preorder,
     compute_preorder,
-    eval_formula,
     generate_random_ks,
     labeling_partition,
     naive_stuttering_simulation,
@@ -27,6 +21,7 @@ from stuttersim import (
 from stuttersim.selftest import split_ordering_check, split_refine_check
 
 from conftest import pairs_of, stutter_chain, transitive_closure
+from ectl import And, Atom, ExistsUntil, NegAtom, Or, eval_formula
 
 DENSITIES = (0.1, 0.25, 0.5)
 

@@ -6,7 +6,6 @@ from stuttersim import (
     KripkeStructure,
     NotAPreorderError,
     ValidationError,
-    check_definition,
     check_preorder,
     compute_preorder,
     generate_random_ks,
@@ -16,6 +15,11 @@ from stuttersim.checker import _sink_components, find_definition_violation
 from stuttersim.reference import largest_simulation_within
 
 from conftest import random_graph, random_preorder, reachable, transitive_closure
+
+
+def check_definition(k: KripkeStructure, pairs) -> bool:
+    """Definitional check, valid for any relation (preorder or not)."""
+    return find_definition_violation(k, pairs) is None
 
 
 def test_accepts_computed_preorder(f2):

@@ -220,6 +220,20 @@ _HEAD5 = "states 5\n" + "".join(f"label {s}\n" for s in range(5))
          "expected a state id, got 'x'", 8, 3),
         (_HEAD5 + "transitions 2\n1 2 3\n0 x\n", None, "expected '<src> <dst>'", 8, 1),
         (_HEAD5 + "transitions 2\n0 9\n0 x\n", None, "dangling state id 9", 8, 3),
+        # Complete files failing one per-line check of the model parse.
+        ("states 3\nlabel 0 p\nlabel 2 q\nlabel 0 r\ntransitions 0\n", None,
+         "duplicate state declaration 0", 4, 7),
+        ("states 2\nlabel 0 p\nlabel 2 q\ntransitions 0\n", None,
+         "dangling state id 2", 3, 7),
+        ("states 2\nlabel 0 p\nlabel -1 q\ntransitions 0\n", None,
+         "dangling state id -1", 3, 7),
+        ("states 2\nlabel 0 p\nlbl 1 q\ntransitions 0\n", None,
+         "expected 'label <id> <atom>*'", 3, 1),
+        ("states 2\nlbl x q\nlabel 1 q\ntransitions 0\n", None,
+         "expected 'label <id> <atom>*'", 2, 1),
+        (_HEAD5 + "transitions 2\n0 1\n-1 0\n", None, "dangling state id -1", 9, 1),
+        (_HEAD5 + "transitions 2\n0 1\n0 -2\n", None, "dangling state id -2", 9, 3),
+        (_HEAD5 + "transitions 2\n0 1\n4  7\n", None, "dangling state id 7", 9, 4),
         # Comment-only and blank lines inside the sections.
         ("# c\n\nstates 2\n# labels\nlabel 0 p\n\nlabel 0 q\n", None,
          "duplicate state declaration 0", 7, 7),

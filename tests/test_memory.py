@@ -42,6 +42,14 @@ def test_parse_peak_at_most_twice_the_model(parsed):
     assert peak <= 2 * model, (peak, model)
 
 
+def test_parse_peak_near_the_model(parsed):
+    """The parser fills the labels and successor lists line by line and
+    builds no edge list or id table, so the line strings are all that
+    lives next to the model as it grows."""
+    k, model, peak = parsed
+    assert peak <= 1.2 * model, (peak, model)
+
+
 def test_model_holds_each_edge_once(parsed):
     """The model keeps the successor and predecessor lists and no list
     of edge tuples next to them."""

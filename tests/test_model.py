@@ -23,6 +23,15 @@ def test_construction_rejects_bad_transition():
         KripkeStructure(2, [], [["p"]])
 
 
+def test_construction_shares_equal_labels():
+    """Equal labels are one frozenset object, from any builder."""
+    k = KripkeStructure(5, [], [["p"], ["q", "p"], ("p",), {"p", "q"}, []])
+    assert len(set(k.labels)) == 3
+    assert len({id(x) for x in k.labels}) == len(set(k.labels))
+    for built in (generate_random_ks(3, 200, 0.01, 4), quotient(k, [[0, 2], [1, 3], [4]])):
+        assert len({id(x) for x in built.labels}) == len(set(built.labels))
+
+
 def test_duplicate_transitions_collapse():
     k = KripkeStructure(2, [(0, 1), (0, 1)], [["p"], ["p"]])
     assert k.transitions == [(0, 1)]

@@ -3,14 +3,8 @@ import random
 import pytest
 
 from stuttersim import (
-    And,
-    Atom,
-    ExistsUntil,
     KripkeStructure,
-    NegAtom,
-    Or,
     ValidationError,
-    eval_formula,
     generate_random_ks,
     naive_stuttering_simulation,
     pos_naive,
@@ -19,6 +13,7 @@ from stuttersim import (
 from stuttersim.reference import largest_simulation_within
 
 from conftest import pairs_of
+from ectl import And, Atom, ExistsUntil, NegAtom, Or, eval_formula
 
 
 def test_pos_empty_target(f1):
