@@ -12,7 +12,7 @@ the refiner search correct.
 
 from __future__ import annotations
 
-from itertools import compress, repeat
+from itertools import compress
 from typing import Callable, Iterable, Sequence
 
 from .model import (
@@ -176,12 +176,14 @@ class RefinementEngine:
         if not is_locally_topological(self.k, self.state_list):
             raise AssertionError("a backward same-label transition survived ordering")
 
-        # up[b]: the blocks related above b, b included.
+        # up[b]: the blocks related above b, b included; down[c]: below c.
         self.up: list[set[int]] = up0
-        # Nonzero entries only: count[c][x] = |succ(x) & image(c)|, and
-        # bcount[b][c] is its sum over the members of b.
+        self.down: list[set[int]] = [set() for _ in range(m)]
+        for b, above in enumerate(up0):
+            for c in above:
+                self.down[c].add(b)
+        # Nonzero entries only: count[c][x] = |succ(x) & image(c)|.
         self.count: list[dict[int, int]] = [{} for _ in range(m)]
-        self.bcount: list[dict[int, int]] = [{} for _ in range(m)]
         # Per block id: 0 from a scan of the target that found no pair
         # until a write that could give it one (see ``find_refiner``).
         self.dirty = bytearray(b"\x01" * m)
@@ -206,33 +208,28 @@ class RefinementEngine:
 
     def _new_block(self, parent: int, begin: int, end: int) -> int:
         """Allocate a block that starts as a copy of ``parent``: related
-        to and from what the parent is, with the parent's counter columns."""
+        to and from what the parent is, with the parent's counter column.
+        Only the sets of the blocks related to the parent change."""
         bid = len(self.blocks)
-        # Every row holding the parent: ``block_of`` would miss the rows of
-        # parents split earlier by the same splitter, not yet recounted.
-        for row, brow in zip(self.up, self.bcount):
-            if parent in row:
-                row.add(bid)
-            if parent in brow:
-                brow[bid] = brow[parent]
-        self.up.append(set(self.up[parent]))
+        up, down = self.up, self.down
+        for d in down[parent]:
+            up[d].add(bid)
+        up.append(set(up[parent]))
+        down.append(set(down[parent]))
+        for c in up[bid]:
+            down[c].add(bid)
         self.count.append(dict(self.count[parent]))
-        self.bcount.append({})
         self.blocks.append(_Block(begin, end))
         self.dirty.append(self.dirty[parent])
         return bid
 
     def _init_counters(self) -> None:
-        count, bcount, blocks = self.count, self.bcount, self.blocks
-        bo, pred = self.block_of, self.k.predecessors
+        count, blocks, pred = self.count, self.blocks, self.k.predecessors
         for c in self.order:
             count[c] = col = {}
             for y in self.image(c):
                 for x in pred[y]:
                     col[x] = col.get(x, 0) + 1
-            for x, v in col.items():
-                brow = bcount[bo[x]]
-                brow[c] = brow.get(c, 0) + v
         for b in self.order:
             blocks[b].local_bottoms = [x for x in self.members(b) if x not in count[b]]
 
@@ -280,16 +277,20 @@ class RefinementEngine:
         A block ``d`` above ``b`` has its candidate set inside ``b``'s,
         so the bottom states of ``b``'s set in ``d`` are the local
         bottoms of ``d`` absent from ``count[b]``; ``b`` itself never
-        passes, as it steps into ``c``.
+        passes, as it steps into ``c``.  A ``d`` above ``c`` or stepping
+        into ``image(c)`` is skipped; it steps into it exactly when a
+        member is a key of ``count[c]``, so the skipped blocks are one
+        set, built at most once per target, when a hit block first
+        reaches this walk.
 
         A target whose scan finds no pair is flagged clean and skipped
         until a write can give it one; the returned target and those
         after it keep their flags.  The writes that can are marked
         where they happen: ``refine`` pruning the up-set of ``c`` (which
-        also lowers its counter columns) marks ``c``, ``refine`` giving
+        also lowers its counter column) marks ``c``, ``refine`` giving
         a block's candidate set a new bottom state marks every target
-        the block steps into, and ``update`` marks the targets a part of
-        a split parent with local bottoms lost from its ``bcount`` row
+        the block steps into, and ``update`` marks the targets that a
+        part of a split parent with local bottoms no longer steps into
         (a part gives a new pair only through a bottom state of its
         own).  A split itself keeps every candidate set: a new block
         takes its parent's flag, and a block that now steps into a
@@ -298,12 +299,13 @@ class RefinementEngine:
         per dirty target, one pass over its predecessors and a sort of
         the blocks that pass hits.
         """
-        up, count, bcount, dirty = self.up, self.count, self.bcount, self.dirty
+        up, count, dirty = self.up, self.count, self.dirty
         bo, pred, blocks = self.block_of, self.k.predecessors, self.blocks
         for c in compress(self.order, map(dirty.__getitem__, self.order)):
             self.targets_visited += 1
             hit = {bo[x] for y in self.members(c) for x in pred[y]}
             col, above = count[c], up[c]
+            skip = None
             # blocks lie in list order along the state list
             for b in sorted(hit, key=lambda b: blocks[b].begin):
                 if b in above:
@@ -311,12 +313,13 @@ class RefinementEngine:
                 for s in blocks[b].local_bottoms:
                     if s not in col:
                         return (b, c)
+                if skip is None:
+                    skip = above.union(map(bo.__getitem__, col))
                 col_b = count[b]
-                for d in up[b]:
-                    if d not in above and c not in bcount[d]:
-                        for x in blocks[d].local_bottoms:
-                            if x not in col_b:
-                                return (b, c)
+                for d in up[b] - skip:
+                    for x in blocks[d].local_bottoms:
+                        if x not in col_b:
+                            return (b, c)
             dirty[c] = 0
         return None
 
@@ -368,36 +371,34 @@ class RefinementEngine:
         self.blocks_created += 2 * len(pairs)
 
     def update(self, pairs: Sequence[tuple[int, int]]) -> None:
-        """Repair the local bottoms and BCount rows of both parts of each
-        split parent.  Candidate sets are unchanged at this point, so the
-        counters each new block copied from its parent stay right, and
-        the parent's bottom states and BCount row redistribute between
-        the parts.  Work is proportional to the smaller part times the
-        parent row's entries.  ``pairs`` are the ``(parent, new block)``
-        pairs of ``split``."""
-        count, bcount, dirty, blocks = self.count, self.bcount, self.dirty, self.blocks
-        bo = self.block_of
+        """Repair the local bottoms of both parts of each split parent and
+        mark the targets a part lost.  Candidate sets are unchanged, so
+        the counters each new block copied from its parent stay right and
+        the parent's bottom states redistribute between the parts.  A
+        part steps into ``down[block_of[y]]`` for each successor ``y`` of
+        its members, so a split costs the parent's successor edges and
+        the down-sets they reach, or nothing if it had no local bottoms.
+        ``pairs`` are the ``(parent, new block)`` pairs of ``split``."""
+        dirty, blocks, bo = self.dirty, self.blocks, self.block_of
+        succ, down = self.k.successors, self.down
         for p, i in pairs:
             blk_i, blk_p = blocks[i], blocks[p]
             old = blk_p.local_bottoms
             blk_p.local_bottoms = [x for x in old if bo[x] == p]
             blk_i.local_bottoms = [x for x in old if bo[x] == i]
-            if blk_i.end - blk_i.begin <= blk_p.end - blk_p.begin:
-                small, large = i, p
-            else:
-                small, large = p, i
-            # The parent's row is the sum of the two parts' rows.
-            ms, row = self.members(small), bcount[p]
-            part = {c: v for c in row if (v := sum(map(count[c].get, ms, repeat(0))))}
-            bcount[large] = {c: d for c, v in row.items() if (d := v - part.get(c, 0))}
-            bcount[small] = part
+            if not old:
+                continue
+            into_p, into_i = (
+                set().union(*map(down.__getitem__, {bo[y] for x in ms for y in succ[x]}))
+                for ms in (self.members(p), self.members(i))
+            )
             # A part gives a new pair only as a bottom block, through a
-            # local bottom of its own and a target its row lost.
+            # local bottom of its own and a target it no longer steps into.
             if blk_p.local_bottoms:
-                for c in bcount[i].keys() - bcount[p].keys():
+                for c in into_i - into_p:
                     dirty[c] = 1
             if blk_i.local_bottoms:
-                for c in bcount[p].keys() - bcount[i].keys():
+                for c in into_p - into_i:
                     dirty[c] = 1
 
     def refine(self, s_list: Sequence[int]) -> None:
@@ -410,7 +411,7 @@ class RefinementEngine:
         if it sits there, and every target the block steps into is marked."""
         bo = self.block_of
         splitter_blocks = {bo[x] for x in s_list}
-        up, count, bcount, dirty = self.up, self.count, self.bcount, self.dirty
+        up, down, count, dirty = self.up, self.down, self.count, self.dirty
         pred, succ = self.k.predecessors, self.k.successors
         for b in splitter_blocks:
             row = up[b]
@@ -425,18 +426,14 @@ class RefinementEngine:
             col, lb = count[b], self.blocks[b].local_bottoms
             gained = False
             for c in pruned:
+                down[c].discard(b)
                 for y in self.members(c):
                     for x in pred[y]:
-                        bx = bo[x]
-                        brow = bcount[bx]
-                        if brow[b] > 1:
-                            brow[b] -= 1
-                        else:
-                            del brow[b]
                         if col[x] > 1:
                             col[x] -= 1
                             continue
                         del col[x]
+                        bx = bo[x]
                         if bx in row:
                             gained = True
                             if bx == b:

@@ -63,7 +63,7 @@ class InvariantChecks:
         """Assert every boundary invariant against brute-force values."""
         e = self.e
         n = e.k.num_states
-        up, count, bcount, blocks = e.up, e.count, e.bcount, e.blocks
+        up, down, count, blocks = e.up, e.down, e.count, e.blocks
         order = e.order
         pos = 0
         for b in order:
@@ -73,7 +73,7 @@ class InvariantChecks:
             for x in e.members(b):
                 assert e.block_of[x] == b
         assert pos == n, "blocks do not cover the state list"
-        assert len(up) == len(blocks) == len(order), "a block id is not in the order"
+        assert len(up) == len(down) == len(blocks) == len(order), "a block id is not in the order"
         for b in order:
             assert b in up[b], "relation lost reflexivity"
             assert max(up[b]) < len(blocks), "relation holds an unallocated block"
@@ -93,9 +93,7 @@ class InvariantChecks:
         for c in order:
             col = {x: sum(bo[y] in up[c] for y in succ[x]) for x in range(n)}
             assert count[c] == {x: v for x, v in col.items() if v}, f"Count({c}) drifted"
-        for b in order:
-            row = {c: sum(count[c].get(x, 0) for x in e.members(b)) for c in order}
-            assert bcount[b] == {c: v for c, v in row.items() if v}, f"BCount({b}) drifted"
+            assert down[c] == {b for b in order if c in up[b]}, f"down({c}) drifted"
         # The blocks above b other than b that hold a bottom state of
         # b's candidate set.
         holding_bottoms = {}
@@ -116,9 +114,10 @@ class InvariantChecks:
                 assert b in up[c] or all(s in count[c] for s in blk.local_bottoms), (
                     f"clean target {c} has a refiner pair from {b}"
                 )
-                assert all(d in up[c] or c in bcount[d] for d in holding_bottoms[b]), (
-                    f"clean target {c} has a refiner pair from {b}"
-                )
+                assert all(
+                    d in up[c] or any(x in count[c] for x in e.members(d))
+                    for d in holding_bottoms[b]
+                ), f"clean target {c} has a refiner pair from {b}"
         if self.oracle_pairs is None:
             self.oracle_pairs = largest_simulation_within(e.k, self.initial_pairs)
         for s, t in self.oracle_pairs:

@@ -60,7 +60,8 @@ def test_initialize_f2_counters(f2):
     assert e.blocks[b_q].local_bottoms == [1, 4]
     for b in e.order:
         assert _blocks_holding_bottoms(e, b) == set()
-    assert e.bcount[b_p][b_q] == 2 and e.bcount[b_p][b_r] == 1
+    # One label class per block: each is related only to itself.
+    assert [e.down[b] for b in (b_p, b_q, b_r)] == [{b_p}, {b_q}, {b_r}]
 
 
 def test_initialize_no_transitions_all_bottom():
@@ -240,17 +241,31 @@ def test_update_f2_bookkeeping(f2):
     e = RefinementEngine(f2)
     parent = e.block_of[0]
     b_r = e.block_of[2]
+    e.dirty[:] = bytes(len(e.dirty))
     e.splitting_procedure([0])
     new = e.block_of[0]
     assert e.blocks[new].local_bottoms == [0]
     assert e.blocks[parent].local_bottoms == [3]
-    assert e.bcount[new][b_r] == 1
-    assert b_r not in e.bcount[parent]
+    # Only the new part steps into b_r, and the parent part has a local
+    # bottom, so b_r may now have a refiner pair from it.
+    assert [c for c in e.order if e.dirty[c]] == [b_r]
     for x in range(5):
         assert e.count[new].get(x, 0) == e.count[parent].get(x, 0)
     # sibling halves hold each other's bottom states
     assert _blocks_holding_bottoms(e, new) == {parent}
     assert _blocks_holding_bottoms(e, parent) == {new}
+
+
+def test_update_marks_targets_below_a_lost_block():
+    # The part {1} loses the step 0 -> 3 into the block {3} and so into
+    # the candidate set of every block below it: {2} is marked too.
+    k = KripkeStructure(4, [(0, 3)], [["a"], ["a"], ["b"], ["b"]])
+    e = RefinementEngine(k, ([[0, 1], [2], [3]], [(0, 0), (1, 1), (2, 2), (1, 2)]))
+    below, above = e.block_of[2], e.block_of[3]
+    assert e.up[below] == {below, above}
+    e.dirty[:] = bytes(len(e.dirty))
+    e.splitting_procedure([0])
+    assert {c for c in e.order if e.dirty[c]} == {below, above}
 
 
 def test_refine_f2_prunes_one_direction(f2):
@@ -377,7 +392,10 @@ def _first_refiner(e: RefinementEngine) -> tuple[int, int] | None:
             if b not in e.up[c] and any(s not in e.count[c] for s in bottoms):
                 return (b, c)
             holding = _blocks_holding_bottoms(e, b)
-            if any(d not in e.up[c] and c not in e.bcount[d] for d in holding):
+            if any(
+                d not in e.up[c] and not any(x in e.count[c] for x in e.members(d))
+                for d in holding
+            ):
                 return (b, c)
     return None
 
@@ -452,7 +470,21 @@ def test_sparse_300_tables_hold_only_nonzero_entries():
     e = RefinementEngine(generate_random_ks(7, 300, 2 / 300, 4))
     e.run()
     assert sum(map(len, e.count)) == 2141
-    assert sum(map(len, e.bcount)) == 2070
+    assert sum(map(len, e.down)) == sum(map(len, e.up))
+
+
+def test_split_walks_no_block_list():
+    # A split touches the up-sets below its parent and the down-sets
+    # above it; walking every block's row would cost O(blocks) per split.
+    class NoWalk(list):
+        def __iter__(self):
+            raise AssertionError("the engine walked a whole per-block table")
+
+    e = RefinementEngine(generate_random_ks(7, 300, 2 / 300, 4))
+    e.up, e.down = NoWalk(e.up), NoWalk(e.down)
+    stats = e.run().stats
+    assert (stats.iterations, stats.blocks_created, stats.final_blocks) == (410, 450, 229)
+    assert stats.targets_visited == 957
 
 
 def test_refine_leaves_pruned_rows_compact():
