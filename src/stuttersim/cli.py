@@ -1,7 +1,7 @@
 """Command-line interface.
 
 Exit codes: 0 success (or relation accepted), 1 relation rejected or
-cross-check mismatch or failing self-test, 2 usage or parse errors.
+cross-check mismatch or failing self-test, 2 usage, read or parse errors.
 Output on stdout is deterministic for a fixed input file.
 """
 
@@ -210,7 +210,7 @@ def cli_main(argv: list[str]) -> int:
         if args.command == "generate":
             return _cmd_generate(args)
         return _cmd_selftest()
-    except (ParseError, ValidationError, OSError) as exc:
+    except (ParseError, ValidationError, OSError, UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -15,8 +15,7 @@ from __future__ import annotations
 
 import random
 import re
-from itertools import chain
-from typing import Iterable, NoReturn
+from collections import defaultdict
 
 from .model import KripkeStructure, SimulationResult, ValidationError, _Successors
 
@@ -31,142 +30,115 @@ class ParseError(ValueError):
 
 
 def _lines(text: str) -> list[str]:
-    """The lines holding a token, ``#`` comments stripped."""
+    """The lines holding a token, ``#`` comments stripped.  ``_error``
+    counts lines by this function too."""
     lines = text.splitlines()
     if "#" in text:
         lines = [line.split("#", 1)[0] for line in lines]
     return list(filter(str.strip, lines))
 
 
-def _content_lines(text: str) -> list[tuple[int, list[str]]]:
-    """Lines holding a token as (line number, tokens)."""
-    lines = enumerate(text.splitlines(), 1)
-    return [(i, t) for i, line in lines if (t := line.split("#", 1)[0].split())]
-
-
-def _error(text: str, message: str, lineno: int, index: int) -> ParseError:
+def _error(text: str, message: str, i: int, index: int | None = 0) -> ParseError:
     """ParseError at the start column of token ``index`` of line
-    ``lineno``, found by rescanning that line."""
-    body = text.splitlines()[lineno - 1].split("#", 1)[0]
+    ``_lines(text)[i]``, or at its column 1 if ``index`` is None.  Only
+    a failing parse maps its line back to the text."""
+    numbered = enumerate(text.splitlines(), 1)
+    lineno, body = [(j, body) for j, line in numbered for body in _lines(line)][i]
     starts = [token.start() for token in re.finditer(r"\S+", body)]
-    return ParseError(message, lineno, starts[index] + 1)
+    return ParseError(message, lineno, 1 if index is None else starts[index] + 1)
 
 
-def _parse_int(text: str, lineno: int, tokens: list[str], index: int, what: str) -> int:
+def _count(text: str, lines: list[str], i: int, usage: str, noun: str) -> int:
+    """The count on header line ``lines[i]``, which has the form ``usage``."""
+    tokens = lines[i].split()
+    if len(tokens) != 2 or tokens[0] != usage.split()[0]:
+        raise _error(text, f"expected '{usage}'", i)
     try:
-        return int(tokens[index])
+        count = int(tokens[1])
     except ValueError:
-        message = f"expected {what}, got {tokens[index]!r}"
-        raise _error(text, message, lineno, index) from None
+        message = f"expected a {noun} count, got {tokens[1]!r}"
+        raise _error(text, message, i, 1) from None
+    if count < 0:
+        raise _error(text, f"{noun} count must be >= 0", i, 1)
+    return count
 
 
-def _state_pair(
-    text: str, lineno: int, tokens: list[str], n: int, shape: str
-) -> tuple[int, int]:
-    """The two state ids of a transition or relation line."""
-    if len(tokens) != 2:
-        raise _error(text, f"expected {shape}", lineno, 0)
-    u = _parse_int(text, lineno, tokens, 0, "a state id")
-    v = _parse_int(text, lineno, tokens, 1, "a state id")
-    if not 0 <= u < n:
-        raise _error(text, f"dangling state id {u}", lineno, 0)
-    if not 0 <= v < n:
-        raise _error(text, f"dangling state id {v}", lineno, 1)
-    return u, v
-
-
-def _in_range(pairs: Iterable[tuple[int, int]], n: int) -> bool:
-    ids = chain.from_iterable
-    return min(ids(pairs), default=0) >= 0 and max(ids(pairs), default=-1) < n
-
-
-def _model(text: str) -> KripkeStructure | None:
-    """The model of a well-formed text, or None.  Each line is split and
-    checked as it is read: a label line puts its state's label, one
-    frozenset per distinct label, into the label list, and a transition
-    line appends to its source's successor list.  The line strings are
-    freed before the predecessor lists are built."""
-    lines = _lines(text)
-    try:
-        keyword, count = lines[0].split()
-        n = int(count)
-        if keyword != "states" or not 0 <= n <= len(lines) - 2:
-            return None
-        keyword, count = lines[n + 1].split()
-        if keyword != "transitions" or int(count) != len(lines) - n - 2:
-            return None
-        labels: list[frozenset[str] | None] = [None] * n
-        shared: dict[frozenset[str], frozenset[str]] = {}
-        for keyword, sid, *atoms in map(str.split, lines[1 : n + 1]):
-            s = int(sid)
-            if keyword != "label" or not 0 <= s < n or labels[s] is not None:
-                return None  # the ids must be a permutation
-            label = frozenset(atoms)
-            if label not in shared:
-                if not all(map(_ATOM_RE.match, atoms)):
-                    return None
-                shared[label] = label
-            labels[s] = shared[label]
-        succ: list[list[int]] = [[] for _ in range(n)]
-        for u, v in map(str.split, lines[n + 2 :]):
-            s, t = int(u), int(v)
-            if not (0 <= s < n and 0 <= t < n):
-                return None
-            succ[s].append(t)
-    except (ValueError, IndexError):
-        return None
-    del lines
-    return KripkeStructure(n, _Successors(succ), labels)
+def _pairs(
+    text: str, lines: list[str], first: int, stop: int, n: int, shape: str
+) -> list[list[int]]:
+    """The successor lists of the '<id> <id>' lines ``lines[first:stop]``,
+    ids in ``range(n)``, each line checked as it is read."""
+    succ: list[list[int]] = [[] for _ in range(n)]
+    for i, line in enumerate(lines[first:stop], first):
+        try:
+            u, v = line.split()
+        except ValueError:
+            raise _error(text, f"expected {shape}", i) from None
+        try:
+            j = 0  # the token being read
+            s = int(u)
+            j = 1
+            t = int(v)
+        except ValueError:
+            token = v if j else u
+            raise _error(text, f"expected a state id, got {token!r}", i, j) from None
+        if not 0 <= s < n:
+            raise _error(text, f"dangling state id {s}", i)
+        if not 0 <= t < n:
+            raise _error(text, f"dangling state id {t}", i, 1)
+        succ[s].append(t)
+    return succ
 
 
 def parse_ks(text: str) -> KripkeStructure:
-    """Parse the model grammar; raises ParseError with line/column."""
-    model = _model(text)
-    if model is None:
-        _raise_model_error(text)
-    return model
-
-
-def _raise_model_error(text: str) -> NoReturn:
-    """Raise the first error of a model that failed the bulk checks."""
-    lines = _content_lines(text)
+    """Parse the model grammar in one walk over its lines, raising
+    ParseError with line and column at the first error.  A label line
+    puts its state's label, one frozenset per distinct label, into the
+    label list, and a transition line appends to its source's successor
+    list.  The line strings are freed before the predecessor lists are
+    built."""
+    lines = _lines(text)
     if not lines:
         raise ParseError("empty model file", 1)
-    lineno, tokens = lines[0]
-    if tokens[0] != "states" or len(tokens) != 2:
-        raise _error(text, "expected 'states <N>'", lineno, 0)
-    n = _parse_int(text, lineno, tokens, 1, "a state count")
-    if n < 0:
-        raise _error(text, "state count must be >= 0", lineno, 1)
-    declared: set[int] = set()  # nothing sized by n: it may be huge
-    for lineno, tokens in lines[1 : n + 1]:
-        if tokens[0] != "label" or len(tokens) < 2:
-            raise _error(text, "expected 'label <id> <atom>*'", lineno, 0)
-        sid = _parse_int(text, lineno, tokens, 1, "a state id")
-        if not 0 <= sid < n:
-            raise _error(text, f"dangling state id {sid}", lineno, 1)
-        if sid in declared:
-            raise _error(text, f"duplicate state declaration {sid}", lineno, 1)
-        declared.add(sid)
-        for i in range(2, len(tokens)):
-            if not _ATOM_RE.match(tokens[i]):
-                raise _error(text, f"invalid atom {tokens[i]!r}", lineno, i)
+    n = _count(text, lines, 0, "states <N>", "state")
+    # Nothing is sized by n before the file shows n label lines, as n
+    # may be huge.  A file with fewer lines fails; a dict finds its errors.
+    labels = [None] * n if n < len(lines) else defaultdict(lambda: None)
+    shared: dict[frozenset[str], frozenset[str]] = {}
+    for i, line in enumerate(lines[1 : n + 1], 1):
+        try:
+            keyword, sid, *atoms = line.split()
+        except ValueError:
+            keyword = ""
+        if keyword != "label":
+            raise _error(text, "expected 'label <id> <atom>*'", i)
+        try:
+            s = int(sid)
+        except ValueError:
+            raise _error(text, f"expected a state id, got {sid!r}", i, 1) from None
+        if not 0 <= s < n:
+            raise _error(text, f"dangling state id {s}", i, 1)
+        if labels[s] is not None:
+            raise _error(text, f"duplicate state declaration {s}", i, 1)
+        label = frozenset(atoms)
+        if label not in shared:
+            for j, atom in enumerate(atoms, 2):
+                if not _ATOM_RE.match(atom):
+                    raise _error(text, f"invalid atom {atom!r}", i, j)
+            shared[label] = label
+        labels[s] = shared[label]
     if len(lines) <= n + 1:
         what = f"{n} label lines" if len(lines) <= n else "'transitions <M>'"
-        raise ParseError(f"expected {what}", lineno)
-    lineno, tokens = lines[n + 1]
-    if tokens[0] != "transitions" or len(tokens) != 2:
-        raise _error(text, "expected 'transitions <M>'", lineno, 0)
-    m = _parse_int(text, lineno, tokens, 1, "a transition count")
-    if m < 0:
-        raise _error(text, "transition count must be >= 0", lineno, 1)
+        raise _error(text, f"expected {what}", len(lines) - 1, None)
+    m = _count(text, lines, n + 1, "transitions <M>", "transition")
     end = n + 2 + m
-    for lineno, tokens in lines[n + 2 : end]:
-        _state_pair(text, lineno, tokens, n, "'<src> <dst>'")
+    succ = _pairs(text, lines, n + 2, end, n, "'<src> <dst>'")
     if len(lines) < end:
-        raise ParseError(f"expected {m} transition lines", lineno)
-    # The bulk checks failed, so something follows the transitions.
-    raise _error(text, "unexpected content after transitions", lines[end][0], 0)
+        raise _error(text, f"expected {m} transition lines", len(lines) - 1, None)
+    if len(lines) > end:
+        raise _error(text, "unexpected content after transitions", end)
+    del lines
+    return KripkeStructure(n, _Successors(succ), labels)
 
 
 def serialize_ks(k: KripkeStructure) -> str:
@@ -198,16 +170,10 @@ def serialize_result(result: SimulationResult, full: bool = False) -> str:
 
 
 def parse_relation(text: str, k: KripkeStructure) -> set[tuple[int, int]]:
-    """Parse 'u v' lines into a relation; duplicates are ignored."""
-    try:
-        pairs = {(int(u), int(v)) for u, v in map(str.split, _lines(text))}
-        if _in_range(pairs, k.num_states):
-            return pairs
-    except ValueError:
-        pass
-    for lineno, tokens in _content_lines(text):  # raises at the first error
-        _state_pair(text, lineno, tokens, k.num_states, "'<u> <v>'")
-    raise AssertionError("the bulk and per-line relation checks disagree")
+    """Parse 'u v' lines into a relation in one walk; duplicates are ignored."""
+    lines = _lines(text)
+    succ = _pairs(text, lines, 0, len(lines), k.num_states, "'<u> <v>'")
+    return {(u, v) for u, vs in enumerate(succ) for v in vs}
 
 
 def generate_random_ks(

@@ -286,6 +286,23 @@ def test_missing_file_exit_code(capsys):
     assert cli_main(["compute", "/nonexistent/model.ks"]) == 2
 
 
+def test_non_utf8_model_exit_code(tmp_path, capsys):
+    """A file that is not UTF-8 is an input error, not a rejection."""
+    bad = tmp_path / "bad.ks"
+    bad.write_bytes(b"states 1\n\xff\n")
+    assert cli_main(["compute", str(bad)]) == 2
+    assert capsys.readouterr().err.startswith("error: 'utf-8' codec can't decode")
+
+
+def test_non_utf8_relation_exit_code(tmp_path, f2_file, capsys):
+    bad = tmp_path / "bad.rel"
+    bad.write_bytes(b"0 0\n\xff\n")
+    assert cli_main(["check", f2_file, "--relation", str(bad)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: 'utf-8' codec can't decode")
+    assert captured.out == ""
+
+
 def test_usage_error_exit_code(capsys):
     assert cli_main(["frobnicate"]) == 2
     assert cli_main([]) == 2

@@ -1,3 +1,6 @@
+import random
+import re
+
 import pytest
 
 from stuttersim import (
@@ -38,29 +41,90 @@ def test_round_trip_ignores_comments(f1):
     assert parse_ks(noisy) == f1
 
 
+def _noisy(text, seed):
+    """``text`` and variants of it with comments, CRLF line ends, tabs,
+    lines of Unicode whitespace only, and the other line breaks of
+    ``str.splitlines``."""
+    return [
+        text,
+        "# model\n" + text.replace("\n", "  # note\n"),
+        text.replace("\n", "\r\n"),
+        text.replace(" ", "\t"),
+        text.replace("\n", "\n\u3000\n \x0c\t"),
+        text.replace("\n", "\x85\u2028"[seed % 2 :]),
+    ]
+
+
 @pytest.mark.parametrize("seed", range(25))
 def test_round_trip_random(seed):
     """The canonical text and noisy variants of it parse to one model:
-    comments, CRLF line ends, tabs, blank lines between and inside the
-    sections, lines of Unicode whitespace only, the other line breaks
-    of ``str.splitlines``, and label lines out of id order."""
+    besides those of ``_noisy``, blank lines between and inside the
+    sections, and label lines out of id order."""
     k = generate_random_ks(seed, 1 + seed % 9, 0.4, 1 + seed % 3)
     text = serialize_ks(k)
     lines = text.splitlines()
     n = k.num_states
     head, labels, edges = lines[:1], lines[1 : n + 1], lines[n + 1 :]
-    variants = [
-        text,
-        "# model\n" + text.replace("\n", "  # note\n"),
-        text.replace("\n", "\r\n"),
-        text.replace(" ", "\t"),
+    variants = _noisy(text, seed) + [
         "\n".join(head + [""] + labels + ["", "  ", "# edges"] + edges + ["\n"]),
         "\n".join(head + labels[::-1] + edges[:1] + ["", *edges[1:]]) + "\n",
-        text.replace("\n", "\n\u3000\n \x0c\t"),
-        text.replace("\n", "\x85\u2028"[seed % 2 :]),
     ]
     for variant in variants:
         assert parse_ks(variant) == k
+
+
+_TOKENS = ["0", "1", "7", "-1", "x", "9p", "p", "states", "label", "transitions",
+           "#", "\u3000", "100000000000000"]
+
+
+def _mutate(rng, text):
+    """``text`` with one to three lines or tokens deleted, inserted or
+    replaced, or its tail cut off; every line keeps its own line break."""
+    lines = text.splitlines(keepends=True)
+    for _ in range(rng.randint(1, 3)):
+        i = rng.randrange(len(lines) + 1)
+        # -1 cuts the tail; 0, 1, 2 delete, insert, replace a line; 3, 4, 5 a token
+        op = rng.randrange(-1, 6) if i < len(lines) else 1
+        if op <= 0:
+            del lines[i : None if op else i + 1]
+        elif op == 1:
+            lines.insert(i, rng.choice(lines + [rng.choice(_TOKENS) + "\n"]))
+        elif op == 2:
+            lines[i] = " ".join(rng.sample(_TOKENS, rng.randint(1, 3))) + "\n"
+        else:
+            body = "".join(lines[i].splitlines())
+            tokens = body.split(" ")
+            j = rng.randrange(len(tokens))
+            tokens[j : j + (op != 4)] = [] if op == 3 else [rng.choice(_TOKENS)]
+            lines[i] = " ".join(tokens) + lines[i][len(body) :]
+    return "".join(lines)
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_mutated_texts_parse_or_raise_at_a_token(seed):
+    """Seeded mutants of small valid models and relations parse or raise
+    ParseError, and an error points at a line holding a token, at column
+    1 or at the start of one of its tokens."""
+    rng = random.Random(seed)
+    for trial in range(40):
+        k = generate_random_ks(trial, rng.randint(1, 6), 0.4, rng.randint(1, 3))
+        n = k.num_states
+        pairs = [f"{rng.randrange(n)} {rng.randrange(n)}\n" for _ in range(rng.randint(1, 5))]
+        for text, parse in [
+            (serialize_ks(k), parse_ks),
+            ("".join(pairs), lambda text: parse_relation(text, k)),
+        ]:
+            text = _mutate(rng, rng.choice(_noisy(text, trial)))
+            try:
+                parse(text)
+            except ParseError as exc:
+                bodies = [line.split("#", 1)[0] for line in text.splitlines()]
+                if str(exc).endswith("empty model file"):
+                    assert not any(map(str.strip, bodies)), text
+                    continue
+                body = bodies[exc.line - 1]
+                starts = {1} | {token.start() + 1 for token in re.finditer(r"\S+", body)}
+                assert body.strip() and exc.column in starts, (text, str(exc))
 
 
 def test_parse_shares_equal_labels():
@@ -208,7 +272,12 @@ _HEAD5 = "states 5\n" + "".join(f"label {s}\n" for s in range(5))
          "expected 100000000000000 label lines", 2, 1),
         (_HEAD + "transitions 100000000000000\n0 0\n", None,
          "expected 100000000000000 transition lines", 4, 1),
-        # The first error in the file wins, whichever bulk check fails.
+        # Errors among the lines of a huge count come first, allocating nothing.
+        ("states 100000000000000\nlabel 7 p\nlabel 7 q\n", None,
+         "duplicate state declaration 7", 3, 7),
+        ("states 100000000000000\nlabel 99999999999999 p\nlabel x q\n", None,
+         "expected a state id, got 'x'", 3, 7),
+        # The first error in the file wins, whatever kind of check finds it.
         (_HEAD + "transitions 2\n0\n0 0 0\n", None, "expected '<src> <dst>'", 4, 1),
         ("states 2\nlabel 1 p\nlabel 1 q\ntransitions 0\n", None,
          "duplicate state declaration 1", 3, 7),
@@ -220,7 +289,10 @@ _HEAD5 = "states 5\n" + "".join(f"label {s}\n" for s in range(5))
          "expected a state id, got 'x'", 8, 3),
         (_HEAD5 + "transitions 2\n1 2 3\n0 x\n", None, "expected '<src> <dst>'", 8, 1),
         (_HEAD5 + "transitions 2\n0 9\n0 x\n", None, "dangling state id 9", 8, 3),
-        # Complete files failing one per-line check of the model parse.
+        # Both ids of a line are read before either is range-checked.
+        (_HEAD5 + "transitions 1\n9 x\n", None, "expected a state id, got 'x'", 8, 3),
+        ("5 x\n", 3, "expected a state id, got 'x'", 1, 3),
+        # Complete files failing one check of the model parse.
         ("states 3\nlabel 0 p\nlabel 2 q\nlabel 0 r\ntransitions 0\n", None,
          "duplicate state declaration 0", 4, 7),
         ("states 2\nlabel 0 p\nlabel 2 q\ntransitions 0\n", None,
