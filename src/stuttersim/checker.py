@@ -1,7 +1,8 @@
 """Decide whether a user-supplied relation is a stuttering simulation.
 
-Two routes: a one-pass block-level check for preorders (the fast path)
-and a direct definitional check for arbitrary relations (its oracle).
+Two routes, both returning a ``CheckVerdict``: a one-pass block-level
+check for preorders (the fast path) and a direct definitional check for
+arbitrary relations (its oracle).
 The fast path takes its blocks, the preorder's classes, and each
 block's up-set from ``model.validate_preorder``, which also checks that
 the relation is a preorder.
@@ -17,17 +18,20 @@ from .preprocess import strongly_connected_components
 
 
 class CheckVerdict(NamedTuple):
-    """Outcome of ``check_preorder``.
+    """Outcome of ``check_preorder`` or ``check_definition``.
 
     On rejection exactly one witness is set: ``label_witness`` is a
-    related pair with different labels, ``refiner_witness`` is
-    ``(block_b, block_c, state)`` where some member of ``block_b`` steps
-    into ``block_c`` but ``state`` (a candidate simulator) cannot follow.
+    related pair with different labels; ``refiner_witness`` (fast path)
+    is ``(block_b, block_c, state)`` where some member of ``block_b``
+    steps into ``block_c`` but ``state`` (a candidate simulator) cannot
+    follow; ``move_witness`` (definitional route) is ``(x, y, z)`` where
+    candidate ``z`` related to ``x`` cannot match the move ``x -> y``.
     """
 
     accepted: bool
     label_witness: tuple[int, int] | None = None
     refiner_witness: tuple[tuple[int, ...], tuple[int, ...], int] | None = None
+    move_witness: tuple[int, int, int] | None = None
 
 
 def _sink_components(
@@ -104,34 +108,24 @@ def check_preorder(
     return CheckVerdict(True)
 
 
-def find_definition_violation(
+def check_definition(
     k: KripkeStructure, pairs: Iterable[tuple[int, int]]
-) -> tuple[str, int, int, int] | None:
-    """First definitional violation, or None.
+) -> CheckVerdict:
+    """Definitional check of any relation, preorder or not.
 
-    Returns ``("label", s, t, -1)`` for a related pair with different
-    labels, or ``("move", x, y, z)`` when candidate ``z`` related to
-    ``x`` cannot match the move ``x -> y`` by a stuttering path.
+    Rejects with the least related pair whose labels differ, else with
+    the first move ``x -> y`` that a candidate ``z`` related to ``x``
+    cannot match by a stuttering path, as ``move_witness=(x, y, z)``.
     """
-    from .reference import pos_naive  # only this route needs the oracle module
+    from .reference import rows_of, unmatched_moves  # loaded on this route only
 
     rel_pairs = set(pairs)
     for s, t in rel_pairs:
         if not (0 <= s < k.num_states and 0 <= t < k.num_states):
             raise ValidationError(f"relation pair ({s}, {t}) out of range")
-    fwd: dict[int, set[int]] = {}
-    for s, t in rel_pairs:
-        fwd.setdefault(s, set()).add(t)
     mixed = _least_mixed_pair(k, rel_pairs)
     if mixed is not None:
-        return ("label", *mixed, -1)
-    for x in k.states():
-        row = fwd.get(x, set())
-        if not row:
-            continue
-        for y in k.successors[x]:
-            reach = pos_naive(k, row, fwd.get(y, set()))
-            if not row <= reach:
-                z = min(row - reach)
-                return ("move", x, y, z)
-    return None
+        return CheckVerdict(False, label_witness=mixed)
+    for x, y, bad in unmatched_moves(k, rows_of(rel_pairs)):
+        return CheckVerdict(False, move_witness=(x, y, min(bad)))
+    return CheckVerdict(True)

@@ -18,7 +18,7 @@ from .formats import (
     serialize_ks,
     serialize_result,
 )
-from .model import KripkeStructure, NotAPreorderError, ValidationError, quotient
+from .model import NotAPreorderError, ValidationError, quotient
 
 # Each command imports only the modules it runs, when it runs: without a
 # bytecode cache, every module a process loads is compiled first.
@@ -91,13 +91,18 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _load_model(path: str) -> KripkeStructure:
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_ks(fh.read())
+def _read(path: str) -> str:
+    """The text of ``path``; a byte that is not UTF-8 names the file and line."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return fh.read()
+    except UnicodeDecodeError as exc:
+        line = len((exc.object[: exc.start].decode("utf-8") + ".").splitlines())
+        raise ValidationError(f"{exc} ({path}, line {line})") from None
 
 
 def _cmd_compute(args: argparse.Namespace) -> int:
-    k = _load_model(args.file)
+    k = parse_ks(_read(args.file))
     trace = None
     if args.trace:
 
@@ -134,49 +139,32 @@ def _cmd_compute(args: argparse.Namespace) -> int:
 
 
 def _cmd_check(args: argparse.Namespace) -> int:
-    k = _load_model(args.file)
-    with open(args.relation, "r", encoding="utf-8") as fh:
-        pairs = parse_relation(fh.read(), k)
-    use_definition = args.definition
-    if not use_definition:
-        try:
-            verdict = check_preorder(k, pairs)
-        except NotAPreorderError as exc:
-            print(f"note: {exc}; falling back to the definitional check", file=sys.stderr)
-            use_definition = True
-        else:
-            if verdict.accepted:
-                print("accepted")
-                return 0
-            print("rejected")
-            if verdict.label_witness is not None:
-                s, t = verdict.label_witness
-                print(f"witness: related states {s} {t} have different labels")
-            if verdict.refiner_witness is not None:
-                b, c, state = verdict.refiner_witness
-                print(
-                    "witness: block {"
-                    + " ".join(map(str, b))
-                    + "} steps into block {"
-                    + " ".join(map(str, c))
-                    + f"}} but candidate state {state} cannot follow"
-                )
-            return 1
-    from .checker import find_definition_violation
+    k = parse_ks(_read(args.file))
+    pairs = parse_relation(_read(args.relation), k)
+    try:
+        verdict = None if args.definition else check_preorder(k, pairs)
+    except NotAPreorderError as exc:
+        print(f"note: {exc}; falling back to the definitional check", file=sys.stderr)
+        verdict = None
+    if verdict is None:
+        from .checker import check_definition
 
-    violation = find_definition_violation(k, pairs)
-    if violation is None:
-        print("accepted")
-        return 0
-    print("rejected")
-    kind, a, b, z = violation
-    if kind == "label":
-        print(f"witness: related states {a} {b} have different labels")
-    else:
+        verdict = check_definition(k, pairs)
+    print("accepted" if verdict.accepted else "rejected")
+    if verdict.label_witness is not None:
+        s, t = verdict.label_witness
+        print(f"witness: related states {s} {t} have different labels")
+    if verdict.refiner_witness is not None:
+        *blocks, state = verdict.refiner_witness
+        b, c = (" ".join(map(str, block)) for block in blocks)
         print(
-            f"witness: move {a} -> {b} cannot be matched from candidate {z}"
+            f"witness: block {{{b}}} steps into block {{{c}}} "
+            f"but candidate state {state} cannot follow"
         )
-    return 1
+    if verdict.move_witness is not None:
+        x, y, z = verdict.move_witness
+        print(f"witness: move {x} -> {y} cannot be matched from candidate {z}")
+    return 0 if verdict.accepted else 1
 
 
 def _cmd_generate(args: argparse.Namespace) -> int:
@@ -210,7 +198,7 @@ def cli_main(argv: list[str]) -> int:
         if args.command == "generate":
             return _cmd_generate(args)
         return _cmd_selftest()
-    except (ParseError, ValidationError, OSError, UnicodeDecodeError) as exc:
+    except (ParseError, ValidationError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

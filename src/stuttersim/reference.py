@@ -7,6 +7,7 @@ performance.  Everything operates on explicit sets of states.
 from __future__ import annotations
 
 import random
+from itertools import islice
 from typing import Iterable
 
 from .model import KripkeStructure, labeling_partition
@@ -42,6 +43,29 @@ def pos_naive(
     return found
 
 
+def rows_of(pairs: Iterable[tuple[int, int]]) -> dict[int, set[int]]:
+    """Each state's row: the states the relation relates it to."""
+    rows: dict[int, set[int]] = {}
+    for s, t in pairs:
+        rows.setdefault(s, set()).add(t)
+    return rows
+
+
+def unmatched_moves(k: KripkeStructure, rows: dict[int, set[int]]):
+    """The definition's move test: each move ``x -> y`` with a non-empty
+    ``rows[x]``, in edge order, as ``(x, y, bad)`` when the states ``bad``
+    of ``rows[x]`` cannot reach ``rows[y]`` through ``rows[x]``."""
+    get = rows.get
+    for x, succ in enumerate(k.successors):
+        row = get(x)
+        if row:
+            for y in succ:
+                target = get(y, ())
+                reach = row if row.issubset(target) else pos_naive(k, row, target)
+                if len(reach) < len(row):  # reach is a subset of row
+                    yield x, y, row - reach
+
+
 def simulator_sets(
     k: KripkeStructure,
     rng: random.Random | None = None,
@@ -59,28 +83,15 @@ def simulator_sets(
     is called with the current map at the start of every iteration
     (instrumentation for validation).
     """
-    sim: dict[int, set[int]] = {}
-    for members in labeling_partition(k):
-        cls = set(members)
-        for x in members:
-            sim[x] = set(cls)
-    edges = k.transitions
+    sim = {x: set(members) for members in labeling_partition(k) for x in members}
     while True:
         if observer is not None:
             observer(sim)
-        refiners = []
-        for x, y in edges:
-            reach = pos_naive(k, sim[x], sim[y])
-            if not sim[x] <= reach:
-                refiners.append((x, y, reach))
-                if rng is None:
-                    break
+        refiners = list(islice(unmatched_moves(k, sim), 1 if rng is None else None))
         if not refiners:
             return sim
-        if rng is None:
-            _, _, s = refiners[0]
-        else:
-            _, _, s = refiners[rng.randrange(len(refiners))]
+        x, _, bad = refiners[0 if rng is None else rng.randrange(len(refiners))]
+        s = sim[x] - bad
         for w in s:
             sim[w] &= s
 
@@ -95,19 +106,9 @@ def largest_simulation_within(
     by a stuttering path; one round deletes every currently violating
     pair, which does not change the greatest fixpoint.
     """
-    rel = {
-        (s, t) for s, t in pairs if k.labels[s] == k.labels[t]
-    }
+    rel = {(s, t) for s, t in pairs if k.labels[s] == k.labels[t]}
     while True:
-        fwd: dict[int, set[int]] = {}
-        for s, t in rel:
-            fwd.setdefault(s, set()).add(t)
-        dead = set()
-        for s, t in rel:
-            for s2 in k.successors[s]:
-                if t not in pos_naive(k, fwd.get(s, set()), fwd.get(s2, set())):
-                    dead.add((s, t))
-                    break
+        dead = {(x, z) for x, _, bad in unmatched_moves(k, rows_of(rel)) for z in bad}
         if not dead:
             return rel
         rel -= dead

@@ -11,15 +11,15 @@ from stuttersim import (
     generate_random_ks,
     naive_stuttering_simulation,
 )
-from stuttersim.checker import _sink_components, find_definition_violation
+from stuttersim.checker import CheckVerdict, _sink_components, check_definition
 from stuttersim.reference import largest_simulation_within
 
 from conftest import random_graph, random_preorder, reachable, transitive_closure
 
 
-def check_definition(k: KripkeStructure, pairs) -> bool:
+def definition_accepts(k: KripkeStructure, pairs) -> bool:
     """Definitional check, valid for any relation (preorder or not)."""
-    return find_definition_violation(k, pairs) is None
+    return check_definition(k, pairs).accepted
 
 
 def test_accepts_computed_preorder(f2):
@@ -46,7 +46,7 @@ def test_identity_always_accepted():
     ):
         ident = {(s, s) for s in k.states()}
         assert check_preorder(k, ident).accepted
-        assert check_definition(k, ident)
+        assert definition_accepts(k, ident)
 
 
 def test_rejects_mixed_label_pair():
@@ -102,21 +102,20 @@ def test_out_of_range_pair():
     with pytest.raises(ValidationError):
         check_preorder(k, {(0, 0), (1, 1), (0, 9)})
     with pytest.raises(ValidationError):
-        find_definition_violation(k, {(0, 9)})
+        check_definition(k, {(0, 9)})
 
 
 def test_definition_empty_relation_accepted(f2):
-    assert check_definition(f2, set())
+    assert definition_accepts(f2, set())
 
 
 def test_definition_examples(f2):
     ident = {(s, s) for s in range(5)}
     # (3,0) needs (4,1) so the move 3 -> 4 can land on a related state
-    assert not check_definition(f2, ident | {(3, 0)})
-    assert check_definition(f2, ident | {(3, 0), (4, 1)})
-    assert not check_definition(f2, ident | {(0, 3)})
-    kind, x, y, z = find_definition_violation(f2, ident | {(0, 3)})
-    assert kind == "move" and x == 0 and z == 3
+    assert not definition_accepts(f2, ident | {(3, 0)})
+    assert definition_accepts(f2, ident | {(3, 0), (4, 1)})
+    assert not definition_accepts(f2, ident | {(0, 3)})
+    assert check_definition(f2, ident | {(0, 3)}) == CheckVerdict(False, move_witness=(0, 1, 3))
 
 
 def test_rejects_cycle_trapped_candidate():
@@ -128,7 +127,7 @@ def test_rejects_cycle_trapped_candidate():
     assert not verdict.accepted
     b, c, state = verdict.refiner_witness
     assert set(b) == {2} and set(c) == {3} and state in (0, 1)
-    assert not check_definition(k, rel)
+    assert not definition_accepts(k, rel)
 
 
 @pytest.mark.parametrize("seed", range(40))
@@ -155,7 +154,7 @@ def test_agreement_with_definition_on_random_preorders(seed):
     rng = random.Random(seed)
     k = generate_random_ks(20_000 + seed, 2 + seed % 7, (0.1, 0.3, 0.5)[seed % 3], 1 + seed % 3)
     rel = random_preorder(rng, k)
-    assert check_preorder(k, rel).accepted == check_definition(k, rel)
+    assert check_preorder(k, rel).accepted == definition_accepts(k, rel)
 
 
 @pytest.mark.parametrize("seed", range(30))
@@ -167,15 +166,15 @@ def test_union_closure(seed):
         k, {p for p in full if rng.random() < 0.6}
     )
     r1, r2 = sample(), sample()
-    assert check_definition(k, r1) and check_definition(k, r2)
-    assert check_definition(k, r1 | r2)
+    assert definition_accepts(k, r1) and definition_accepts(k, r2)
+    assert definition_accepts(k, r1 | r2)
 
 
 @pytest.mark.parametrize("seed", range(30))
 def test_maximality(seed):
     k = generate_random_ks(22_000 + seed, 2 + seed % 6, 0.35, 1 + seed % 3)
     best = naive_stuttering_simulation(k)
-    assert check_definition(k, best)  # the oracle output is itself valid
+    assert definition_accepts(k, best)  # the oracle output is itself valid
     extras = [
         (x, y)
         for x in k.states()
@@ -184,16 +183,16 @@ def test_maximality(seed):
     ]
     for pair in extras:
         augmented = transitive_closure(best | {pair})
-        assert not check_definition(k, augmented)
+        assert not definition_accepts(k, augmented)
         assert not check_preorder(k, augmented).accepted
 
 
 def _assert_rejects_augmentations(
     k: KripkeStructure, best: set[tuple[int, int]], rng: random.Random
 ) -> None:
-    """Criterion 4 where the definitional oracle cannot run: ``best`` is
-    the largest stuttering simulation, so adding any missing same-label
-    pair and closing transitively must be rejected."""
+    """Criterion 4 without the definitional oracle: ``best`` is the
+    largest stuttering simulation, so adding any missing same-label pair
+    and closing transitively must be rejected."""
     missing = [
         (a, b)
         for a in k.states()
@@ -240,4 +239,4 @@ def test_label_witness_is_least_mixed_pair(seed):
     mixed = [(s, t) for s, t in rel if k.labels[s] != k.labels[t]]
     assert len(mixed) >= 2
     assert check_preorder(k, rel).label_witness == min(mixed)
-    assert find_definition_violation(k, rel) == ("label", *min(mixed), -1)
+    assert check_definition(k, rel) == CheckVerdict(False, label_witness=min(mixed))

@@ -215,6 +215,38 @@ def test_check_non_preorder_falls_back(f2_file, tmp_path, capsys):
     assert code == 1 and captured.out.startswith("rejected")
 
 
+F2_IDENT = "".join(f"{s} {s}\n" for s in range(5))
+NOTE_NOT_REFLEXIVE = (
+    "note: relation is not reflexive (witness pair (0, 0)); "
+    "falling back to the definitional check\n"
+)
+
+
+@pytest.mark.parametrize(
+    "relation, flags, out, err",
+    [
+        (F2_IDENT + "0 3\n", ["--definition"],
+         "rejected\nwitness: move 0 -> 1 cannot be matched from candidate 3\n", ""),
+        (F2_IDENT + "0 1\n", ["--definition"],
+         "rejected\nwitness: related states 0 1 have different labels\n", ""),
+        ("3 0\n", [],
+         "rejected\nwitness: move 3 -> 4 cannot be matched from candidate 0\n",
+         NOTE_NOT_REFLEXIVE),
+        (F2_IDENT + "0 3\n", [],
+         "rejected\nwitness: block {0} steps into block {1} but candidate state 3 cannot follow\n",
+         ""),
+    ],
+    ids=["definition-move", "definition-label", "fallback-move", "fast-path-block"],
+)
+def test_check_witness_lines(f2_file, tmp_path, capsys, relation, flags, out, err):
+    """Every witness line, whichever route printed it."""
+    rel = tmp_path / "witness.rel"
+    rel.write_text(relation)
+    assert cli_main(["check", f2_file, "--relation", str(rel), *flags]) == 1
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == (out, err)
+
+
 def test_generate_round_trips(capsys):
     assert (
         cli_main(
@@ -291,7 +323,9 @@ def test_non_utf8_model_exit_code(tmp_path, capsys):
     bad = tmp_path / "bad.ks"
     bad.write_bytes(b"states 1\n\xff\n")
     assert cli_main(["compute", str(bad)]) == 2
-    assert capsys.readouterr().err.startswith("error: 'utf-8' codec can't decode")
+    err = capsys.readouterr().err
+    assert err.startswith("error: 'utf-8' codec can't decode")
+    assert err.endswith(f"({bad}, line 2)\n")
 
 
 def test_non_utf8_relation_exit_code(tmp_path, f2_file, capsys):
@@ -300,6 +334,7 @@ def test_non_utf8_relation_exit_code(tmp_path, f2_file, capsys):
     assert cli_main(["check", f2_file, "--relation", str(bad)]) == 2
     captured = capsys.readouterr()
     assert captured.err.startswith("error: 'utf-8' codec can't decode")
+    assert captured.err.endswith(f"({bad}, line 2)\n")
     assert captured.out == ""
 
 

@@ -454,8 +454,7 @@ def test_find_refiner_matches_definition_after_any_split(seed):
 
 
 def test_sparse_300_pins_refiner_sequence():
-    # A size the naive oracles cannot reach: any drift in which refiner
-    # pairs are chosen changes these counts.
+    # Any drift in which refiner pairs are chosen changes these counts.
     k = generate_random_ks(7, 300, 2 / 300, 4)
     result = compute_preorder(k)
     stats = result.stats
@@ -509,15 +508,16 @@ def test_refine_leaves_pruned_rows_compact():
 
 @pytest.mark.parametrize("i", range(10))
 def test_oracle_sweep_50_to_300_states(i):
-    # Sizes the naive oracle cannot reach, against the explicit
-    # fixpoint: densities log-spaced from 2/n to 0.05 and 1-4 labels
-    # give runs with a hundred blocks and more as well as runs with few.
+    # Against both oracles: densities log-spaced from 2/n to 0.05 and
+    # 1-4 labels give runs with a hundred blocks and more as well as
+    # runs with few.
     n = 50 + 250 * i // 9
     density = 2 / n * (0.05 * n / 2) ** (i * 5 % 10 / 9)
     k = generate_random_ks(31_000 + i, n, density, 1 + i % 4)
     result = compute_preorder(k)
     sim = simulator_sets(k)
     assert result.state_pairs() == pairs_of(sim)
+    assert result.state_pairs() == naive_stuttering_simulation(k)
     if n <= 150:  # a random scan costs up to 4x the default one
         assert result.state_pairs() == pairs_of(simulator_sets(k, random.Random(i)))
     # criterion 6's equalities
@@ -526,6 +526,11 @@ def test_oracle_sweep_50_to_300_states(i):
     assert len(result.blocks) == stats.final_blocks == len(classes)
     assert stats.blocks_created == 2 * (stats.final_blocks - stats.initial_blocks)
     assert stats.iterations <= stats.final_blocks**2
+
+
+def test_naive_oracle_at_n1000():
+    k = generate_random_ks(7, 1000, 2 / 1000, 4)
+    assert compute_preorder(k).state_pairs() == naive_stuttering_simulation(k)
 
 
 @pytest.mark.parametrize("seed", range(30))
@@ -670,9 +675,9 @@ def _levelled_candidate(
 
 @pytest.mark.parametrize("i", range(8))
 def test_candidate_runs_40_to_80_states(i):
-    # Candidates at sizes the naive oracle cannot reach, against the
-    # containment oracle; odd i split each class into two mutually
-    # related halves, which the engine merges back.
+    # Candidates on 40-80 states, against the containment oracle; odd
+    # i split each class into two mutually related halves, which the
+    # engine merges back.
     n = 40 + 40 * i // 7
     k = generate_random_ks(41_000 + i, n, (2 / n, 0.05, 0.1)[i % 3], 2 + i % 2)
     classes = _levelled_candidate(k, random.Random(i), 2 + i % 4)
