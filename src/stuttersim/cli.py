@@ -12,13 +12,15 @@ import sys
 
 from .formats import (
     ParseError,
+    _block_lines,
     generate_random_ks,
     parse_ks,
     parse_relation,
     serialize_ks,
     serialize_result,
 )
-from .model import NotAPreorderError, ValidationError, quotient
+from .model import NotAPreorderError, ValidationError
+from .model import _quotient as quotient  # lifts the engine's own, valid partition
 
 # Each command imports only the modules it runs, when it runs: without a
 # bytecode cache, every module a process loads is compiled first.
@@ -126,14 +128,13 @@ def _cmd_compute(args: argparse.Namespace) -> int:
             return 1
     out: list[str] = []
     if args.emit == "partition":
-        for i, members in enumerate(result.blocks):
-            out.append(f"block {i}: " + " ".join(str(s) for s in members) + "\n")
+        out.extend(line + "\n" for line in _block_lines(result.blocks))
     elif args.emit in ("preorder", "all"):
         out.append(serialize_result(result, full=args.full))
     if args.emit in ("quotient", "all"):
         if args.emit == "all":
             out.append("# quotient\n")
-        out.append(serialize_ks(quotient(k, result.blocks)))
+        out.append(serialize_ks(quotient(k, result.blocks, result.block_of)))
     sys.stdout.write("".join(out))
     return 0
 

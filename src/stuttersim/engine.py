@@ -92,8 +92,7 @@ def _combined_block_order(
     be antisymmetric, as a merged candidate's is.  Both families are
     necessary, so a constraint cycle means no valid configuration
     exists and the candidate relation is rejected.
-    Ties go to the least block id, so the default input, which
-    induces no constraints, keeps the input order.
+    Ties go to the least block id.
     """
     m = len(up)
     succs: list[set[int]] = [set() for _ in range(m)]  # emitted-before sets
@@ -118,10 +117,8 @@ def _combined_block_order(
 class RefinementEngine:
     """Mutable refinement state over a collapsed Kripke structure.
 
-    Construction performs the whole initialization: inert-SCC collapse,
-    the two list orderings, and the counter tables.  ``run`` drives the
-    main loop to the fixpoint and expands the answer back to the
-    original states.
+    ``run`` drives the main loop to the fixpoint and expands the answer
+    back to the original states.
 
     ``candidate`` optionally supplies a coarser starting point as
     ``(blocks, block_pairs)``; the pairs must form a preorder whose
@@ -138,6 +135,11 @@ class RefinementEngine:
         candidate: CandidatePR | None = None,
         debug: bool = False,
     ):
+        """The whole initialization: inert-SCC collapse, the two list
+        orderings and the counter tables.  Without a candidate the start
+        is the label classes in least-member order, and so is the block
+        order: no same-label transition crosses a label class, so
+        ``_combined_block_order`` would find no constraint to walk."""
         if candidate is None:  # the label classes, in least-member order
             label_id: dict[frozenset[str], int] = {}
             block_of0 = [label_id.setdefault(lab, len(label_id)) for lab in k.labels]
@@ -157,7 +159,9 @@ class RefinementEngine:
         self.block_of = block_of0
         if self.k is not k:
             self.block_of = [block_of0[ms[0]] for ms in self.collapse.members]
-        self.order: list[int] = _combined_block_order(self.k, up0, self.block_of)
+        self.order: list[int] = list(range(m))
+        if candidate is not None:
+            self.order = _combined_block_order(self.k, up0, self.block_of)
         coll_members: list[list[int]] = [[] for _ in range(m)]
         for s, b in enumerate(self.block_of):
             coll_members[b].append(s)

@@ -67,36 +67,46 @@ def _pairs(
     text: str, lines: list[str], first: int, stop: int, n: int, shape: str
 ) -> list[list[int]]:
     """The successor lists of the '<id> <id>' lines ``lines[first:stop]``,
-    ids in ``range(n)``, each line checked as it is read."""
+    ids in ``range(n)``: one test per line, and a failing line diagnosed."""
     succ: list[list[int]] = [[] for _ in range(n)]
     for i, line in enumerate(lines[first:stop], first):
         try:
             u, v = line.split()
+            s, t = int(u), int(v)
         except ValueError:
-            raise _error(text, f"expected {shape}", i) from None
-        try:
-            j = 0  # the token being read
-            s = int(u)
-            j = 1
-            t = int(v)
-        except ValueError:
-            token = v if j else u
-            raise _error(text, f"expected a state id, got {token!r}", i, j) from None
-        if not 0 <= s < n:
-            raise _error(text, f"dangling state id {s}", i)
-        if not 0 <= t < n:
-            raise _error(text, f"dangling state id {t}", i, 1)
+            s = t = -1
+        if not (0 <= s < n and 0 <= t < n):
+            tokens = line.split()
+            if len(tokens) != 2:
+                raise _error(text, f"expected {shape}", i)
+            raise _id_error(text, i, tokens, range(2), n)
         succ[s].append(t)
     return succ
 
 
+def _id_error(
+    text: str, i: int, tokens: list[str], ids: range, n: int
+) -> ParseError | None:
+    """The first error among the state ids ``tokens[j]``, ``j`` in ``ids``,
+    of line ``lines[i]``: a token that is no integer, then one out of range."""
+    for j in ids:
+        try:
+            int(tokens[j])
+        except ValueError:
+            return _error(text, f"expected a state id, got {tokens[j]!r}", i, j)
+    for j in ids:
+        if not 0 <= int(tokens[j]) < n:
+            return _error(text, f"dangling state id {int(tokens[j])}", i, j)
+    return None
+
+
 def parse_ks(text: str) -> KripkeStructure:
     """Parse the model grammar in one walk over its lines, raising
-    ParseError with line and column at the first error.  A label line
-    puts its state's label, one frozenset per distinct label, into the
-    label list, and a transition line appends to its source's successor
-    list.  The line strings are freed before the predecessor lists are
-    built."""
+    ParseError with line and column at the first error; only a failing
+    line is diagnosed.  A label line takes its label, one frozenset per
+    distinct label, from a table keyed by its atom text, and a transition
+    line appends to its source's successor list.  The table and then the
+    line strings are freed before the predecessor lists are built."""
     lines = _lines(text)
     if not lines:
         raise ParseError("empty model file", 1)
@@ -104,29 +114,31 @@ def parse_ks(text: str) -> KripkeStructure:
     # Nothing is sized by n before the file shows n label lines, as n
     # may be huge.  A file with fewer lines fails; a dict finds its errors.
     labels = [None] * n if n < len(lines) else defaultdict(lambda: None)
+    by_text: dict[str, frozenset[str]] = {}  # atom text -> its label
     shared: dict[frozenset[str], frozenset[str]] = {}
     for i, line in enumerate(lines[1 : n + 1], 1):
+        head = line.split(None, 2)
         try:
-            keyword, sid, *atoms = line.split()
-        except ValueError:
-            keyword = ""
-        if keyword != "label":
-            raise _error(text, "expected 'label <id> <atom>*'", i)
-        try:
-            s = int(sid)
-        except ValueError:
-            raise _error(text, f"expected a state id, got {sid!r}", i, 1) from None
-        if not 0 <= s < n:
-            raise _error(text, f"dangling state id {s}", i, 1)
-        if labels[s] is not None:
-            raise _error(text, f"duplicate state declaration {s}", i, 1)
-        label = frozenset(atoms)
-        if label not in shared:
-            for j, atom in enumerate(atoms, 2):
+            s = int(head[1])
+            ok = head[0] == "label" and 0 <= s < n and labels[s] is None
+        except (IndexError, ValueError):
+            ok = False
+        if not ok:
+            if len(head) < 2 or head[0] != "label":
+                raise _error(text, "expected 'label <id> <atom>*'", i)
+            raise _id_error(text, i, head, range(1, 2), n) or _error(
+                text, f"duplicate state declaration {int(head[1])}", i, 1
+            )
+        atoms = head[2] if len(head) == 3 else ""
+        label = by_text.get(atoms)
+        if label is None:
+            for j, atom in enumerate(atoms.split(), 2):
                 if not _ATOM_RE.match(atom):
                     raise _error(text, f"invalid atom {atom!r}", i, j)
-            shared[label] = label
-        labels[s] = shared[label]
+            label = frozenset(atoms.split())
+            label = by_text[atoms] = shared.setdefault(label, label)
+        labels[s] = label
+    del by_text
     if len(lines) <= n + 1:
         what = f"{n} label lines" if len(lines) <= n else "'transitions <M>'"
         raise _error(text, f"expected {what}", len(lines) - 1, None)
@@ -152,15 +164,18 @@ def serialize_ks(k: KripkeStructure) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _block_lines(blocks: list[list[int]]) -> list[str]:
+    """The 'block <i>: <members>' line of each block, in list order."""
+    return [f"block {i}: " + " ".join(map(str, ms)) for i, ms in enumerate(blocks)]
+
+
 def serialize_result(result: SimulationResult, full: bool = False) -> str:
     """Canonical result text: block lines, then strict 'leq' lines.
 
     Reflexive and within-block pairs are suppressed (reconstructible);
     ``full`` appends every related state pair as 'pair <x> <y>' lines.
     """
-    lines = []
-    for i, members in enumerate(result.blocks):
-        lines.append(f"block {i}: " + " ".join(str(s) for s in members))
+    lines = _block_lines(result.blocks)
     for i, j in result.strict_block_pairs():
         lines.append(f"leq {i} {j}")
     if full:

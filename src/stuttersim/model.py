@@ -189,7 +189,7 @@ def validate_preorder(
 def quotient(
     k: KripkeStructure, blocks: Sequence[Sequence[int]]
 ) -> KripkeStructure:
-    """Existential lift of ``k`` to the given label-consistent partition.
+    """Existential lift of ``k`` to ``blocks``, checked by ``validate_partition``.
 
     Quotient state ids follow the blocks sorted by least member.  There
     is an edge between distinct blocks iff some member steps into the
@@ -198,10 +198,17 @@ def quotient(
     # Numbered by first occurrence in state order: by least member.
     rank: dict[int, int] = {}
     q_of = [rank.setdefault(b, len(rank)) for b in validate_partition(k, blocks)]
-    ordered = [blocks[i] for i in rank]
-    succ = [[q_of[t] for s in members for t in k.successors[s]] for members in ordered]
-    labels = [k.labels[members[0]] for members in ordered]
-    return KripkeStructure(len(rank), _Successors(succ), labels)
+    return _quotient(k, [blocks[i] for i in rank], q_of)
+
+
+def _quotient(
+    k: KripkeStructure, blocks: Sequence[Sequence[int]], block_of: Sequence[int]
+) -> KripkeStructure:
+    """``quotient`` of a partition taken as valid: ``blocks`` sorted by
+    least member and their state-to-block map, as in a ``SimulationResult``."""
+    succ = [[block_of[t] for s in ms for t in k.successors[s]] for ms in blocks]
+    labels = [k.labels[ms[0]] for ms in blocks]
+    return KripkeStructure(len(blocks), _Successors(succ), labels)
 
 
 class RunStats(NamedTuple):

@@ -181,10 +181,10 @@ def is_locally_topological(k: KripkeStructure, order: Sequence[int]) -> bool:
     pos = [0] * k.num_states
     for i, s in enumerate(order):
         pos[s] = i
-    return all(
-        pos[s] < pos[t]
-        for s, lst in enumerate(k.successors)
-        for t in lst
-        if k.labels[s] == k.labels[t]
-    )
-
+    labels = k.labels
+    for s, lst in enumerate(k.successors):
+        p, label = pos[s], labels[s]
+        for t in lst:
+            if pos[t] <= p and labels[t] == label:
+                return False
+    return True

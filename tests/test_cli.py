@@ -8,10 +8,16 @@ import pytest
 
 import stuttersim
 import stuttersim.cli
-from stuttersim import compute_preorder, parse_ks
+from stuttersim import (
+    compute_preorder,
+    generate_random_ks,
+    parse_ks,
+    quotient,
+    serialize_ks,
+)
 from stuttersim.cli import cli_main
 
-from conftest import child_env
+from conftest import child_env, stutter_chain
 
 F1_TEXT = """\
 states 5
@@ -91,6 +97,21 @@ def test_compute_quotient_emit(f1_file, capsys):
     q = parse_ks(out)
     assert q.num_states == 2
     assert q.transitions == [(0, 0), (0, 1)]
+
+
+@pytest.mark.parametrize("seed", range(16))
+def test_compute_quotient_matches_validated_quotient(seed, tmp_path, capsys):
+    """The CLI lifts the engine's own partition without validating it
+    again; it writes what the validating ``quotient`` gives."""
+    if seed == 0:
+        k = stutter_chain(20)
+    else:
+        k = generate_random_ks(seed, 4 + 2 * seed, 0.15, 1 + seed % 3)
+    path = tmp_path / "model.ks"
+    path.write_text(serialize_ks(k))
+    assert cli_main(["compute", str(path), "--emit", "quotient"]) == 0
+    expected = serialize_ks(quotient(k, compute_preorder(k).blocks))
+    assert capsys.readouterr().out == expected
 
 
 def test_compute_all_emit(f2_file, capsys):

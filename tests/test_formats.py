@@ -137,6 +137,13 @@ def test_parse_shares_equal_labels():
     assert len({id(label) for label in k.labels}) == len(set(k.labels))
     k = parse_ks(serialize_ks(generate_random_ks(3, 200, 0.01, 4)))
     assert len({id(label) for label in k.labels}) == len(set(k.labels))
+    # One atom set spelled four ways: four atom texts, one label object.
+    k = parse_ks(
+        "states 4\nlabel 0 p q\nlabel 1 q  p\nlabel 2 p\tq q\nlabel 3 q p \n"
+        "transitions 0\n"
+    )
+    assert k.labels[0] == {"p", "q"}
+    assert len({id(label) for label in k.labels}) == 1
 
 
 def test_parse_dangling_transition_id():

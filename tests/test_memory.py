@@ -9,7 +9,7 @@ import tracemalloc
 
 import pytest
 
-from stuttersim import RefinementEngine, parse_ks, serialize_ks
+from stuttersim import KripkeStructure, RefinementEngine, parse_ks, serialize_ks
 
 from conftest import stutter_chain
 
@@ -47,6 +47,20 @@ def test_parse_peak_near_the_model(parsed):
     builds no edge list or id table, so the line strings are all that
     lives next to the model as it grows."""
     k, model, peak = parsed
+    assert peak <= 1.2 * model, (peak, model)
+
+
+def test_parse_peak_near_the_model_with_distinct_labels():
+    """A chain in which every state has its own label: the table from a
+    line's atom text to its label holds an entry per state, and is freed
+    after the label lines, before the model is built."""
+    n = CHAIN_LENGTH
+    chain = KripkeStructure(
+        n, [(s, s + 1) for s in range(n - 1)], [[f"p{s}"] for s in range(n)]
+    )
+    chain_text = serialize_ks(chain)
+    k, model, peak = traced(lambda: parse_ks(chain_text))
+    assert len(set(k.labels)) == n
     assert peak <= 1.2 * model, (peak, model)
 
 

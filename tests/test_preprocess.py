@@ -213,6 +213,21 @@ def test_sort_blocks_identity_keeps_input_order():
     assert sort_blocks({(i, i) for i in range(3)}, 3) == [0, 1, 2]
 
 
+@pytest.mark.parametrize("seed", range(40))
+def test_default_start_block_order_is_identity(seed):
+    """Without a candidate the engine starts from the label classes in
+    least-member order and takes that as its block order: no same-label
+    transition crosses a label class, so ``_combined_block_order``
+    returns the identity, inert cycles or not."""
+    k = generate_random_ks(500 + seed, 2 + seed % 12, 0.3, 1 + seed % 3)
+    collapsed, _ = collapse_inert_sccs(k, block_of(k))
+    classes = block_of(collapsed)
+    m = max(classes) + 1
+    order = _combined_block_order(collapsed, [{b} for b in range(m)], classes)
+    assert order == list(range(m))
+    assert RefinementEngine(k).order == order
+
+
 def test_sort_blocks_worked_pair():
     # block indices: 0=[0,1], 1=[2,3], 2=[4,5], 3=[6,7], 4=[8,9]
     pairs = {(i, i) for i in range(5)} | {(0, 1), (0, 3), (2, 3), (4, 3)}
