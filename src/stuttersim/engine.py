@@ -4,15 +4,16 @@ The engine maintains an ordered partition of a collapsed structure
 together with a block preorder, counter tables and per-block local
 bottoms, and refines them until no refiner block pair remains.  The
 state list always satisfies the local topological property (no backward
-same-label transition), blocks are contiguous ranges of it, and the
-block list is kept in reverse topological order of the block preorder;
-these orderings are what make the one-pass reachability computation and
-the refiner search correct.
+same-label transition), blocks are contiguous ranges of it, and their
+order along it, read from each block's ``begin``, is a reverse
+topological order of the block preorder; these orderings are what make
+the one-pass reachability computation and the refiner search correct.
+The search takes its targets from a heap keyed by ``begin``.
 """
 
 from __future__ import annotations
 
-from itertools import compress
+from heapq import heappop, heappush, heapreplace
 from typing import Callable, Iterable, Sequence
 
 from .model import (
@@ -159,20 +160,20 @@ class RefinementEngine:
         self.block_of = block_of0
         if self.k is not k:
             self.block_of = [block_of0[ms[0]] for ms in self.collapse.members]
-        self.order: list[int] = list(range(m))
+        order = list(range(m))
         if candidate is not None:
-            self.order = _combined_block_order(self.k, up0, self.block_of)
+            order = _combined_block_order(self.k, up0, self.block_of)
         coll_members: list[list[int]] = [[] for _ in range(m)]
         for s, b in enumerate(self.block_of):
             coll_members[b].append(s)
         self.state_list: list[int] = sort_states_locally_topological(
             self.k,
-            [coll_members[b] for b in self.order],
+            [coll_members[b] for b in order],
             topo if self.k is k else None,
         )
         self.blocks: list[_Block] = [_Block(0, 0) for _ in range(m)]
         begin = 0
-        for b in self.order:
+        for b in order:
             blk = self.blocks[b]
             blk.begin, blk.end = begin, begin + len(coll_members[b])
             begin = blk.end
@@ -190,7 +191,9 @@ class RefinementEngine:
         self.count: list[dict[int, int]] = [{} for _ in range(m)]
         # Per block id: 0 from a scan of the target that found no pair
         # until a write that could give it one (see ``find_refiner``).
+        # ``marked``: a heap of one (key <= blocks[c].begin, c) per flagged c.
         self.dirty = bytearray(b"\x01" * m)
+        self.marked = sorted((self.blocks[c].begin, c) for c in range(m))
 
         self._init_counters()
         self.iterations = 0
@@ -225,17 +228,26 @@ class RefinementEngine:
         self.count.append(dict(self.count[parent]))
         self.blocks.append(_Block(begin, end))
         self.dirty.append(self.dirty[parent])
+        if self.dirty[parent]:
+            heappush(self.marked, (begin, bid))
         return bid
 
+    def _mark(self, targets: Iterable[int]) -> None:
+        """Flag each target, and queue it if it was clean."""
+        dirty, marked, blocks = self.dirty, self.marked, self.blocks
+        for c in targets:
+            if not dirty[c]:
+                dirty[c] = 1
+                heappush(marked, (blocks[c].begin, c))
+
     def _init_counters(self) -> None:
-        count, blocks, pred = self.count, self.blocks, self.k.predecessors
-        for c in self.order:
-            count[c] = col = {}
+        pred = self.k.predecessors
+        for c, blk in enumerate(self.blocks):
+            self.count[c] = col = {}
             for y in self.image(c):
                 for x in pred[y]:
                     col[x] = col.get(x, 0) + 1
-        for b in self.order:
-            blocks[b].local_bottoms = [x for x in self.members(b) if x not in count[b]]
+            blk.local_bottoms = [x for x in self.members(c) if x not in col]
 
     # -- queries ------------------------------------------------------------
 
@@ -299,13 +311,20 @@ class RefinementEngine:
         own).  A split itself keeps every candidate set: a new block
         takes its parent's flag, and a block that now steps into a
         target did so before inside its parent, with the parent's
-        bottom states.  So a call costs one flag test per block plus,
-        per dirty target, one pass over its predecessors and a sort of
-        the blocks that pass hits.
+        bottom states.  Flagged targets wait in ``marked``, keyed at or
+        below their ``begin``, which a split only moves forward: a stale
+        key on top is re-keyed, and a current one is the first flagged
+        target in list order.  So a call costs a heap operation per
+        target popped or re-keyed plus, per target visited, one pass over
+        its predecessors and a sort of the blocks that pass hits.
         """
-        up, count, dirty = self.up, self.count, self.dirty
+        up, count, dirty, marked = self.up, self.count, self.dirty, self.marked
         bo, pred, blocks = self.block_of, self.k.predecessors, self.blocks
-        for c in compress(self.order, map(dirty.__getitem__, self.order)):
+        while marked:
+            key, c = marked[0]
+            if key != blocks[c].begin:
+                heapreplace(marked, (blocks[c].begin, c))
+                continue
             self.targets_visited += 1
             hit = {bo[x] for y in self.members(c) for x in pred[y]}
             col, above = count[c], up[c]
@@ -325,6 +344,7 @@ class RefinementEngine:
                         if x not in col_b:
                             return (b, c)
             dirty[c] = 0
+            heappop(marked)
         return None
 
     # -- refinement steps ---------------------------------------------------
@@ -361,7 +381,6 @@ class RefinementEngine:
             ds = [x for x in self.state_list[blk.begin : blk.end] if bo[x] == p]
             self.state_list[blk.begin : blk.end] = ss + ds
             blk.begin += len(ss)
-            self.order.insert(self.order.index(p), nid)
             pairs.append((p, nid))
         return pairs
 
@@ -383,7 +402,7 @@ class RefinementEngine:
         its members, so a split costs the parent's successor edges and
         the down-sets they reach, or nothing if it had no local bottoms.
         ``pairs`` are the ``(parent, new block)`` pairs of ``split``."""
-        dirty, blocks, bo = self.dirty, self.blocks, self.block_of
+        blocks, bo = self.blocks, self.block_of
         succ, down = self.k.successors, self.down
         for p, i in pairs:
             blk_i, blk_p = blocks[i], blocks[p]
@@ -399,11 +418,9 @@ class RefinementEngine:
             # A part gives a new pair only as a bottom block, through a
             # local bottom of its own and a target it no longer steps into.
             if blk_p.local_bottoms:
-                for c in into_i - into_p:
-                    dirty[c] = 1
+                self._mark(into_i - into_p)
             if blk_i.local_bottoms:
-                for c in into_p - into_i:
-                    dirty[c] = 1
+                self._mark(into_p - into_i)
 
     def refine(self, s_list: Sequence[int]) -> None:
         """Prune the relation against a splitter that is now a union of
@@ -415,7 +432,7 @@ class RefinementEngine:
         if it sits there, and every target the block steps into is marked."""
         bo = self.block_of
         splitter_blocks = {bo[x] for x in s_list}
-        up, down, count, dirty = self.up, self.down, self.count, self.dirty
+        up, down, count = self.up, self.down, self.count
         pred, succ = self.k.predecessors, self.k.successors
         for b in splitter_blocks:
             row = up[b]
@@ -426,7 +443,7 @@ class RefinementEngine:
             # set() of a set sizes its table to the entries, unlike a set
             # pruned entry by entry.
             up[b] = row = set(row & splitter_blocks)
-            dirty[b] = 1
+            self._mark((b,))
             col, lb = count[b], self.blocks[b].local_bottoms
             gained = False
             for c in pruned:
@@ -443,9 +460,7 @@ class RefinementEngine:
                             if bx == b:
                                 lb.append(x)
             if gained:
-                for x in self.members(b):
-                    for y in succ[x]:
-                        dirty[bo[y]] = 1
+                self._mark({bo[y] for x in self.members(b) for y in succ[x]})
             # A dict keeps its size when keys are deleted; rebuild.
             count[b] = dict(col)
 
@@ -468,7 +483,7 @@ class RefinementEngine:
             self.refine(splitter)
             self.iterations += 1
             if trace is not None:
-                trace(self.iterations, (b, c), len(splitter), len(self.order))
+                trace(self.iterations, (b, c), len(splitter), len(self.blocks))
             if checks:
                 checks.invariants()
         return self._build_result()
@@ -482,12 +497,12 @@ class RefinementEngine:
         blocks: list[list[int]] = [[] for _ in rank]
         for s, i in enumerate(block_of):
             blocks[i].append(s)
-        preorder = {(rank[b], rank[c]) for b in self.order for c in self.up[b]}
+        preorder = {(rank[b], rank[c]) for b in range(len(self.up)) for c in self.up[b]}
         stats = RunStats(
             iterations=self.iterations,
             blocks_created=self.blocks_created,
             initial_blocks=self.initial_blocks,
-            final_blocks=len(self.order),
+            final_blocks=len(self.blocks),
             targets_visited=self.targets_visited,
         )
         return SimulationResult(blocks, frozenset(preorder), block_of, stats)

@@ -64,7 +64,7 @@ class InvariantChecks:
         e = self.e
         n = e.k.num_states
         up, down, count, blocks = e.up, e.down, e.count, e.blocks
-        order = e.order
+        order = sorted(range(len(blocks)), key=lambda b: blocks[b].begin)
         pos = 0
         for b in order:
             blk = blocks[b]
@@ -73,7 +73,9 @@ class InvariantChecks:
             for x in e.members(b):
                 assert e.block_of[x] == b
         assert pos == n, "blocks do not cover the state list"
-        assert len(up) == len(down) == len(blocks) == len(order), "a block id is not in the order"
+        flagged = [c for c in range(len(blocks)) if e.dirty[c]]
+        assert sorted(c for _, c in e.marked) == flagged, "worklist is not the flagged targets"
+        assert all(key <= blocks[c].begin for key, c in e.marked), "worklist key past its target"
         for b in order:
             assert b in up[b], "relation lost reflexivity"
             assert max(up[b]) < len(blocks), "relation holds an unallocated block"

@@ -6,7 +6,6 @@ atomic-proposition names; label equality is set equality.
 
 from __future__ import annotations
 
-from functools import cached_property
 from typing import Iterable, NamedTuple, Sequence
 
 
@@ -85,10 +84,6 @@ class KripkeStructure:
         """The edges as ``(source, target)`` pairs, sorted."""
         return [(s, t) for s, lst in enumerate(self.successors) for t in lst]
 
-    @cached_property
-    def atoms(self) -> frozenset[str]:
-        return frozenset().union(*self.labels)
-
     def states(self) -> range:
         return range(self.num_states)
 
@@ -100,9 +95,6 @@ class KripkeStructure:
             and self.labels == other.labels
             and self.successors == other.successors
         )
-
-    def __hash__(self):  # pragma: no cover - not used as dict key in hot paths
-        return hash((self.num_states, self.labels, tuple(map(tuple, self.successors))))
 
     def __repr__(self) -> str:
         return (

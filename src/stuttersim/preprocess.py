@@ -2,8 +2,8 @@
 
 The refinement engine requires a structure with no inert strongly
 connected components, a state list that is topologically ordered inside
-each label class, and a block list in reverse topological order of the
-block preorder.  Everything here is a pure function.
+each label class, and blocks laid out along it in reverse topological
+order of the block preorder.  Everything here is a pure function.
 """
 
 from __future__ import annotations

@@ -20,16 +20,12 @@ def _ten_state_blank() -> KripkeStructure:
 
 
 def _strict_edges(engine: RefinementEngine) -> _Edges:
-    out: _Edges = set()
-    for b in engine.order:
-        for c in engine.up[b]:
-            if b != c:
-                out.add((frozenset(engine.members(b)), frozenset(engine.members(c))))
-    return out
+    ms = [frozenset(engine.members(b)) for b in range(len(engine.blocks))]
+    return {(ms[b], ms[c]) for b, above in enumerate(engine.up) for c in above if b != c}
 
 
 def _partition(engine: RefinementEngine) -> set[frozenset[int]]:
-    return {frozenset(engine.members(b)) for b in engine.order}
+    return {frozenset(engine.members(b)) for b in range(len(engine.blocks))}
 
 
 def _fmt(edges: _Edges) -> str:
@@ -53,7 +49,8 @@ def split_ordering_check() -> tuple[bool, str]:
     engine.split([1, 3, 4, 6, 8])
     expected_list = [1, 0, 3, 4, 6, 2, 5, 7, 8, 9]
     expected_blocks = [[1], [0], [3, 4, 6], [2, 5, 7], [8], [9]]
-    got_blocks = [engine.members(b) for b in engine.order]
+    order = sorted(range(len(engine.blocks)), key=lambda b: engine.blocks[b].begin)
+    got_blocks = [engine.members(b) for b in order]
     if engine.state_list != expected_list:
         return False, f"state list {engine.state_list} != {expected_list}"
     if got_blocks != expected_blocks:

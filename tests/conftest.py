@@ -61,6 +61,11 @@ def transitive_closure(pairs: set[tuple[int, int]]) -> set[tuple[int, int]]:
     return closed
 
 
+def block_order(engine: stuttersim.RefinementEngine) -> list[int]:
+    """The engine's block ids in list order, read from each block's ``begin``."""
+    return sorted(range(len(engine.blocks)), key=lambda b: engine.blocks[b].begin)
+
+
 def stutter_chain(length: int) -> KripkeStructure:
     """p-chain into a q-sink, plus a lone p-state with an r-move.
 

@@ -51,7 +51,7 @@ def eval_formula(k: KripkeStructure, phi: Formula) -> set[int]:
     ValidationError for atoms outside the structure's atom universe.
     """
     if isinstance(phi, (Atom, NegAtom)):
-        if phi.name not in k.atoms:
+        if phi.name not in frozenset().union(*k.labels):
             raise ValidationError(f"unknown atom {phi.name!r}")
         sat = {s for s in k.states() if phi.name in k.labels[s]}
         if isinstance(phi, Atom):

@@ -135,7 +135,7 @@ def test_criterion_7_logic_preservation():
     for trial in range(500):
         k = _random_structure(60_000 + trial)
         blocks = compute_preorder(k).blocks
-        phi = _random_formula(rng, sorted(k.atoms), depth=rng.randrange(1, 5))
+        phi = _random_formula(rng, sorted(frozenset().union(*k.labels)), depth=rng.randrange(1, 5))
         sat = eval_formula(k, phi)
         for members in blocks:
             inside = sum(1 for s in members if s in sat)

@@ -20,7 +20,7 @@ from stuttersim import (
 from stuttersim.invariants import current_state_pairs
 from stuttersim.reference import largest_simulation_within
 
-from conftest import pairs_of, random_preorder
+from conftest import block_order, pairs_of, random_preorder
 
 P4_BLOCKS = [[0, 1], [2, 3], [4, 5], [6, 7], [8, 9]]
 P4_PAIRS = [(i, i) for i in range(5)] + [(0, 1), (0, 3), (2, 3), (4, 3)]
@@ -32,7 +32,7 @@ def p4_engine() -> RefinementEngine:
 
 
 def by_members(engine: RefinementEngine) -> dict[frozenset, int]:
-    return {frozenset(engine.members(b)): b for b in engine.order}
+    return {frozenset(engine.members(b)): b for b in block_order(engine)}
 
 
 def _blocks_holding_bottoms(e: RefinementEngine, b: int) -> set[int]:
@@ -54,11 +54,11 @@ def test_initialize_f2_counters(f2):
     b_r = e.block_of[2]
     expected = {(0, b_q): 1, (0, b_r): 1, (3, b_q): 1}
     for x in range(5):
-        for c in e.order:
+        for c in block_order(e):
             assert e.count[c].get(x, 0) == expected.get((x, c), 0)
     assert e.blocks[b_p].local_bottoms == [0, 3]
     assert e.blocks[b_q].local_bottoms == [1, 4]
-    for b in e.order:
+    for b in block_order(e):
         assert _blocks_holding_bottoms(e, b) == set()
     # One label class per block: each is related only to itself.
     assert [e.down[b] for b in (b_p, b_q, b_r)] == [{b_p}, {b_q}, {b_r}]
@@ -68,9 +68,9 @@ def test_initialize_no_transitions_all_bottom():
     k = KripkeStructure(4, [], [["a"], ["a"], ["b"], ["b"]])
     e = RefinementEngine(k)
     for x in range(4):
-        for c in e.order:
+        for c in block_order(e):
             assert x not in e.count[c]
-    for b in e.order:
+    for b in block_order(e):
         assert e.blocks[b].local_bottoms == e.members(b)
 
 
@@ -156,9 +156,10 @@ def test_pos_ordered_f2(f2):
 
 
 def _assert_pos_ordered_matches_naive(e: RefinementEngine) -> None:
-    for b in e.order:
+    order = block_order(e)
+    for b in order:
         src = e.image(b)
-        for c in e.order:
+        for c in order:
             naive = pos_naive(e.k, src, e.image(c))
             assert set(e.pos_ordered(src, c)) == naive, (b, c)
 
@@ -188,6 +189,23 @@ def test_find_refiner_absent_at_fixpoint(f1):
     assert e.find_refiner() is None  # the label partition already works
 
 
+def test_find_refiner_drains_the_worklist(f1):
+    # Each flagged target is visited once, in list order, and a target
+    # that is cleared leaves the worklist.
+    e = RefinementEngine(f1)
+    members, visits = e.members, []
+
+    def counted(b):
+        visits.append(b)
+        assert len(visits) <= len(e.blocks), "a cleared target was visited again"
+        return members(b)
+
+    e.members = counted
+    assert e.find_refiner() is None
+    assert visits == block_order(e)
+    assert e.marked == [] and not any(e.dirty)
+
+
 def test_find_refiner_no_transitions():
     k = KripkeStructure(3, [], [["a"], ["a"], ["a"]])
     assert RefinementEngine(k).find_refiner() is None
@@ -198,9 +216,9 @@ def test_find_refiner_no_transitions():
 
 def test_split_union_of_blocks_is_noop(f2):
     e = RefinementEngine(f2)
-    before = list(e.order)
+    before = block_order(e)
     assert e.split([1, 4]) == []
-    assert e.order == before
+    assert block_order(e) == before
 
 
 def test_split_f2(f2):
@@ -210,7 +228,7 @@ def test_split_f2(f2):
     new = e.block_of[0]
     assert pairs == [(parent, new)]
     assert e.members(new) == [0] and e.members(parent) == [3]
-    assert e.order.index(new) == e.order.index(parent) - 1
+    assert e.blocks[new].end == e.blocks[parent].begin
 
 
 def test_splitting_procedure_union_noop(f2):
@@ -242,13 +260,15 @@ def test_update_f2_bookkeeping(f2):
     parent = e.block_of[0]
     b_r = e.block_of[2]
     e.dirty[:] = bytes(len(e.dirty))
+    e.marked.clear()
     e.splitting_procedure([0])
     new = e.block_of[0]
     assert e.blocks[new].local_bottoms == [0]
     assert e.blocks[parent].local_bottoms == [3]
     # Only the new part steps into b_r, and the parent part has a local
     # bottom, so b_r may now have a refiner pair from it.
-    assert [c for c in e.order if e.dirty[c]] == [b_r]
+    assert [c for c in block_order(e) if e.dirty[c]] == [b_r]
+    assert e.marked == [(e.blocks[b_r].begin, b_r)]
     for x in range(5):
         assert e.count[new].get(x, 0) == e.count[parent].get(x, 0)
     # sibling halves hold each other's bottom states
@@ -264,8 +284,10 @@ def test_update_marks_targets_below_a_lost_block():
     below, above = e.block_of[2], e.block_of[3]
     assert e.up[below] == {below, above}
     e.dirty[:] = bytes(len(e.dirty))
+    e.marked.clear()
     e.splitting_procedure([0])
-    assert {c for c in e.order if e.dirty[c]} == {below, above}
+    assert {c for c in block_order(e) if e.dirty[c]} == {below, above}
+    assert sorted(e.marked) == sorted((e.blocks[c].begin, c) for c in (below, above))
 
 
 def test_refine_f2_prunes_one_direction(f2):
@@ -382,8 +404,9 @@ def _first_refiner(e: RefinementEngine) -> tuple[int, int] | None:
     that has a transition from B into C, tested against the two
     bottom-state conditions with no marks and no skips.  Bottom states
     come from ``count`` and the block members, not the engine's lists."""
-    for c in e.order:
-        for b in e.order:
+    order = block_order(e)
+    for c in order:
+        for b in order:
             if not any(
                 e.block_of[y] == c for x in e.members(b) for y in e.k.successors[x]
             ):
@@ -480,10 +503,19 @@ def test_split_walks_no_block_list():
             raise AssertionError("the engine walked a whole per-block table")
 
     e = RefinementEngine(generate_random_ks(7, 300, 2 / 300, 4))
-    e.up, e.down = NoWalk(e.up), NoWalk(e.down)
+    e.up, e.down, e.blocks = NoWalk(e.up), NoWalk(e.down), NoWalk(e.blocks)
     stats = e.run().stats
     assert (stats.iterations, stats.blocks_created, stats.final_blocks) == (410, 450, 229)
     assert stats.targets_visited == 957
+
+
+def test_trace_counts_blocks_at_n300():
+    # One trace line per iteration; the block count is the number of
+    # block ids, which splits only ever add to.
+    lines = []
+    compute_preorder(generate_random_ks(7, 300, 2 / 300, 4), trace=lambda *a: lines.append(a))
+    assert len(lines) == 410
+    assert lines[-1][3] == 229
 
 
 def test_refine_leaves_pruned_rows_compact():

@@ -13,7 +13,7 @@ from stuttersim import (
 )
 from stuttersim.model import validate_preorder
 
-from conftest import random_preorder
+from conftest import block_order, random_preorder
 
 
 def test_construction_rejects_bad_transition():
@@ -30,6 +30,12 @@ def test_construction_shares_equal_labels():
     assert len({id(x) for x in k.labels}) == len(set(k.labels))
     for built in (generate_random_ks(3, 200, 0.01, 4), quotient(k, [[0, 2], [1, 3], [4]])):
         assert len({id(x) for x in built.labels}) == len(set(built.labels))
+
+
+def test_models_are_unhashable():
+    # Equality compares the successor lists, which are mutable lists.
+    with pytest.raises(TypeError):
+        hash(KripkeStructure(2, [(0, 1)], [["p"], ["p"]]))
 
 
 def test_duplicate_transitions_collapse():
@@ -128,7 +134,7 @@ def test_bottom_states(f1, f2):
 
 def test_bottom_disjoint_from_pre(f1, f2):
     for e in (RefinementEngine(f1), RefinementEngine(f2), p4_engine()):
-        for b in e.order:
+        for b in block_order(e):
             bot = set(e.blocks[b].local_bottoms)
             pre = {x for y in e.image(b) for x in e.k.predecessors[y]}
             assert bot <= set(e.members(b))
