@@ -13,6 +13,7 @@ import sys
 from .formats import (
     ParseError,
     _block_lines,
+    _pair_chunks,
     generate_random_ks,
     parse_ks,
     parse_relation,
@@ -130,7 +131,12 @@ def _cmd_compute(args: argparse.Namespace) -> int:
     if args.emit == "partition":
         out.extend(line + "\n" for line in _block_lines(result.blocks))
     elif args.emit in ("preorder", "all"):
-        out.append(serialize_result(result, full=args.full))
+        out.append(serialize_result(result))
+        # The pair lines go out chunk by chunk, the first with the head.
+        for chunk in _pair_chunks(result) if args.full else ():
+            out.append(chunk)
+            sys.stdout.write("".join(out))
+            out.clear()
     if args.emit in ("quotient", "all"):
         if args.emit == "all":
             out.append("# quotient\n")

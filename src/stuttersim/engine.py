@@ -189,16 +189,20 @@ class RefinementEngine:
                 self.down[c].add(b)
         # Nonzero entries only: count[c][x] = |succ(x) & image(c)|.
         self.count: list[dict[int, int]] = [{} for _ in range(m)]
-        # Per block id: 0 from a scan of the target that found no pair
-        # until a write that could give it one (see ``find_refiner``).
-        # ``marked``: a heap of one (key <= blocks[c].begin, c) per flagged c.
-        self.dirty = bytearray(b"\x01" * m)
-        self.marked = sorted((self.blocks[c].begin, c) for c in range(m))
+        # hit[c]: the blocks with a member stepping into c.  pending[c]:
+        # the hit blocks that may form a refiner pair with c (see
+        # ``find_refiner``), at first all of them; a target with none has
+        # no entry.  ``marked``: a heap of one (key <= blocks[c].begin, c)
+        # per pending target.
+        self.hit: list[set[int]] = [self._hit(c) for c in range(m)]
+        self.pending: dict[int, set[int]] = {c: set(hs) for c, hs in enumerate(self.hit) if hs}
+        self.marked = sorted((self.blocks[c].begin, c) for c in self.pending)
 
         self._init_counters()
         self.iterations = 0
         self.blocks_created = 0
         self.targets_visited = 0
+        self.pairs_tested = 0
         self.initial_blocks = m
         # Debug mode loads its checks only when asked for.
         self.checks = None
@@ -227,18 +231,25 @@ class RefinementEngine:
             down[c].add(bid)
         self.count.append(dict(self.count[parent]))
         self.blocks.append(_Block(begin, end))
-        self.dirty.append(self.dirty[parent])
-        if self.dirty[parent]:
+        # As a target, the new block starts with its parent's pending
+        # set; ``update`` sets its hit set and adds it, as a hit block,
+        # to the sets holding its parent once the whole split is done.
+        self.hit.append(set())
+        if parent in self.pending:
+            self.pending[bid] = set(self.pending[parent])
             heappush(self.marked, (begin, bid))
         return bid
 
-    def _mark(self, targets: Iterable[int]) -> None:
-        """Flag each target, and queue it if it was clean."""
-        dirty, marked, blocks = self.dirty, self.marked, self.blocks
-        for c in targets:
-            if not dirty[c]:
-                dirty[c] = 1
-                heappush(marked, (blocks[c].begin, c))
+    def _mark(self, c: int, hit_blocks: Iterable[int]) -> None:
+        """Add ``hit_blocks`` to the pending set of target ``c``, and
+        queue the target if it had none and now has some."""
+        todo = self.pending.get(c)
+        if todo is None:
+            if not hit_blocks:
+                return
+            self.pending[c] = todo = set()
+            heappush(self.marked, (self.blocks[c].begin, c))
+        todo.update(hit_blocks)
 
     def _init_counters(self) -> None:
         pred = self.k.predecessors
@@ -250,6 +261,16 @@ class RefinementEngine:
             blk.local_bottoms = [x for x in self.members(c) if x not in col]
 
     # -- queries ------------------------------------------------------------
+
+    def _hit(self, c: int) -> set[int]:
+        """The blocks holding a predecessor of a member of ``c``."""
+        bo, pred = self.block_of, self.k.predecessors
+        return {bo[x] for y in self.members(c) for x in pred[y]}
+
+    def _targets(self, b: int) -> set[int]:
+        """The blocks holding a successor of a member of ``b``."""
+        bo, succ = self.block_of, self.k.successors
+        return {bo[y] for x in self.members(b) for y in succ[x]}
 
     def image(self, b: int) -> list[int]:
         """Members of every block above ``b``, in state-list order."""
@@ -283,67 +304,84 @@ class RefinementEngine:
     def find_refiner(self) -> tuple[int, int] | None:
         """First block pair (B, C) whose candidate sets still need work.
 
-        Scans target blocks in list order and, per target, the blocks
-        holding a predecessor of it in list order; the reverse topological
-        block order guarantees that every pair above the current one was
-        already cleared, which is what makes the two bottom-state
-        conditions a complete characterization.  A zero counter is an
-        absent key, so both conditions are membership tests.
+        Scans target blocks in list order and, per target, its pending
+        blocks that hold a predecessor of it, in list order; the reverse
+        topological block order guarantees that every pair above the
+        current one was already cleared, which is what makes the two
+        bottom-state conditions a complete characterization.  A zero
+        counter is an absent key, so both conditions are membership tests.
 
         A block ``d`` above ``b`` has its candidate set inside ``b``'s,
         so the bottom states of ``b``'s set in ``d`` are the local
         bottoms of ``d`` absent from ``count[b]``; ``b`` itself never
         passes, as it steps into ``c``.  A ``d`` above ``c`` or stepping
         into ``image(c)`` is skipped; it steps into it exactly when a
-        member is a key of ``count[c]``, so the skipped blocks are one
-        set, built at most once per target, when a hit block first
-        reaches this walk.
+        member is a key of ``count[c]``, which the walk reads only for a
+        ``d`` holding such a bottom.
 
-        A target whose scan finds no pair is flagged clean and skipped
-        until a write can give it one; the returned target and those
-        after it keep their flags.  The writes that can are marked
-        where they happen: ``refine`` pruning the up-set of ``c`` (which
-        also lowers its counter column) marks ``c``, ``refine`` giving
-        a block's candidate set a new bottom state marks every target
-        the block steps into, and ``update`` marks the targets that a
-        part of a split parent with local bottoms no longer steps into
-        (a part gives a new pair only through a bottom state of its
-        own).  A split itself keeps every candidate set: a new block
-        takes its parent's flag, and a block that now steps into a
-        target did so before inside its parent, with the parent's
-        bottom states.  Flagged targets wait in ``marked``, keyed at or
-        below their ``begin``, which a split only moves forward: a stale
-        key on top is re-keyed, and a current one is the first flagged
-        target in list order.  So a call costs a heap operation per
-        target popped or re-keyed plus, per target visited, one pass over
-        its predecessors and a sort of the blocks that pass hits.
+        So a pair ``(b, c)`` with ``b`` in ``hit[c]`` and outside
+        ``up[c]`` is a refiner pair when a bottom state of ``b``'s
+        candidate set lies in a block of ``up[b]`` that ``c`` does not
+        skip (for ``b``'s own local bottoms: a state outside
+        ``count[c]``).  The search tests only the hit blocks in the
+        target's pending set.  A pair it clears leaves the set; a scan
+        that returns a pair keeps that pair and the ones after it.  A
+        hit block outside the set has no refiner pair with the target,
+        because each write that can give it one adds the block where
+        the write happens:
+
+        - ``refine`` deleting a key of ``count[b]`` whose block stays in
+          ``up[b]`` gives ``b``'s candidate set a new bottom state: it
+          adds ``b`` for every target ``b`` steps into;
+        - ``refine`` pruning ``up[c]`` and deleting keys of ``count[c]``
+          can unskip any block and take any state out of ``c``'s image:
+          it adds every hit block of ``c`` (naming the blocks of the
+          deleted keys costs more than the tests it saves);
+        - ``update`` finds the targets whose image only one part of a
+          split parent still steps into.  The other part was skipped
+          inside its parent and no longer is, and it gives a new pair
+          only through a local bottom of its own, to a hit block below
+          it: ``update`` adds those hit blocks.
+
+        A block above its target never forms a pair, so no site adds
+        one.  A split itself keeps every candidate set and every
+        state's counters.  So a new block takes its parent's pending
+        set as a target and, as a hit block, joins each set that holds
+        its parent; ``update`` then keeps ``hit`` exact and drops from
+        the split targets' sets the blocks that no longer hit them.
+        Targets with a non-empty set wait in ``marked``, keyed at or
+        below their ``begin``, which a split only moves forward: a
+        stale key on top is re-keyed, and a current one is the first
+        pending target in list order.  So a call costs a heap operation
+        per target popped or re-keyed plus, per target visited, a sort
+        of its pending hit blocks and their tests.
         """
-        up, count, dirty, marked = self.up, self.count, self.dirty, self.marked
-        bo, pred, blocks = self.block_of, self.k.predecessors, self.blocks
+        up, count, pending, marked = self.up, self.count, self.pending, self.marked
+        hit, blocks = self.hit, self.blocks
         while marked:
             key, c = marked[0]
             if key != blocks[c].begin:
                 heapreplace(marked, (blocks[c].begin, c))
                 continue
             self.targets_visited += 1
-            hit = {bo[x] for y in self.members(c) for x in pred[y]}
-            col, above = count[c], up[c]
-            skip = None
+            into_c, above = count[c].__contains__, up[c]
             # blocks lie in list order along the state list
-            for b in sorted(hit, key=lambda b: blocks[b].begin):
+            todo = sorted(hit[c].intersection(pending[c]), key=lambda b: blocks[b].begin)
+            for i, b in enumerate(todo):
                 if b in above:
                     continue  # up[b] lies inside up[c]
-                for s in blocks[b].local_bottoms:
-                    if s not in col:
-                        return (b, c)
-                if skip is None:
-                    skip = above.union(map(bo.__getitem__, col))
-                col_b = count[b]
-                for d in up[b] - skip:
-                    for x in blocks[d].local_bottoms:
-                        if x not in col_b:
-                            return (b, c)
-            dirty[c] = 0
+                self.pairs_tested += 1
+                if all(map(into_c, blocks[b].local_bottoms)):
+                    into_b = count[b].__contains__
+                    for d in up[b] - above:
+                        if d != b and not all(map(into_b, blocks[d].local_bottoms)):
+                            if not any(map(into_c, self.members(d))):
+                                break
+                    else:
+                        continue
+                pending[c] = set(todo[i:])
+                return (b, c)
+            del pending[c]
             heappop(marked)
         return None
 
@@ -394,33 +432,51 @@ class RefinementEngine:
         self.blocks_created += 2 * len(pairs)
 
     def update(self, pairs: Sequence[tuple[int, int]]) -> None:
-        """Repair the local bottoms of both parts of each split parent and
-        mark the targets a part lost.  Candidate sets are unchanged, so
-        the counters each new block copied from its parent stay right and
-        the parent's bottom states redistribute between the parts.  A
-        part steps into ``down[block_of[y]]`` for each successor ``y`` of
-        its members, so a split costs the parent's successor edges and
-        the down-sets they reach, or nothing if it had no local bottoms.
-        ``pairs`` are the ``(parent, new block)`` pairs of ``split``."""
-        blocks, bo = self.blocks, self.block_of
-        succ, down = self.k.successors, self.down
+        """Repair the hit sets, the pending sets and the local bottoms of
+        both parts of each split parent, and mark the pairs a part's
+        lost target can give (see ``find_refiner``).  Candidate sets are
+        unchanged, so the counters each new block copied from its parent
+        stay right and the parent's bottom states redistribute between
+        the parts.  A part steps into the image of each block below one
+        it steps into, so a split costs the parent's edges and, if it
+        had local bottoms, the down-sets of the blocks that only one
+        part steps into.  The hit sets are repaired for every pair
+        before any is read.  ``pairs`` are the ``(parent, new block)``
+        pairs of ``split``."""
+        blocks, bo, up, down = self.blocks, self.block_of, self.up, self.down
+        hit, pending = self.hit, self.pending
+        targets = {}
         for p, i in pairs:
+            hit[p], hit[i] = self._hit(p), self._hit(i)
+            targets[p], targets[i] = self._targets(p), self._targets(i)
+            for c in targets[i]:
+                hit[c].add(i)
+                if p in pending.get(c, ()):
+                    pending[c].add(i)
+            for c in targets[i] - targets[p]:
+                hit[c].discard(p)
+        for p, i in pairs:
+            for c in (p, i):
+                kept = hit[c].intersection(pending.get(c, ()))
+                if kept:
+                    pending[c] = kept
             blk_i, blk_p = blocks[i], blocks[p]
             old = blk_p.local_bottoms
             blk_p.local_bottoms = [x for x in old if bo[x] == p]
             blk_i.local_bottoms = [x for x in old if bo[x] == i]
             if not old:
                 continue
-            into_p, into_i = (
-                set().union(*map(down.__getitem__, {bo[y] for x in ms for y in succ[x]}))
-                for ms in (self.members(p), self.members(i))
-            )
-            # A part gives a new pair only as a bottom block, through a
-            # local bottom of its own and a target it no longer steps into.
-            if blk_p.local_bottoms:
-                self._mark(into_i - into_p)
-            if blk_i.local_bottoms:
-                self._mark(into_p - into_i)
+            # A part gives a new pair through a local bottom of its own
+            # and a target ``c`` whose image the other part steps into and
+            # it does not: ``c`` lies below a block that only the other
+            # part steps into.  The pair's hit block lies below the part.
+            for part, other in ((p, i), (i, p)):
+                mine = targets[part]
+                gone = targets[other] - mine
+                if gone and blocks[part].local_bottoms:
+                    for c in set().union(*map(down.__getitem__, gone)):
+                        if up[c].isdisjoint(mine):
+                            self._mark(c, down[part].intersection(hit[c]) - up[c])
 
     def refine(self, s_list: Sequence[int]) -> None:
         """Prune the relation against a splitter that is now a union of
@@ -429,11 +485,12 @@ class RefinementEngine:
         target; one that hits zero loses its entry.  Its state, if its
         block is still related above, is a new bottom state of the
         pruned block's candidate set: it joins that block's local bottoms
-        if it sits there, and every target the block steps into is marked."""
+        if it sits there, and the block is marked for every target it
+        steps into.  The pruned block, as a target, is marked for all
+        its hit blocks (see ``find_refiner``)."""
         bo = self.block_of
         splitter_blocks = {bo[x] for x in s_list}
-        up, down, count = self.up, self.down, self.count
-        pred, succ = self.k.predecessors, self.k.successors
+        up, down, count, pred = self.up, self.down, self.count, self.k.predecessors
         for b in splitter_blocks:
             row = up[b]
             pruned = row - splitter_blocks
@@ -443,7 +500,6 @@ class RefinementEngine:
             # set() of a set sizes its table to the entries, unlike a set
             # pruned entry by entry.
             up[b] = row = set(row & splitter_blocks)
-            self._mark((b,))
             col, lb = count[b], self.blocks[b].local_bottoms
             gained = False
             for c in pruned:
@@ -459,8 +515,11 @@ class RefinementEngine:
                             gained = True
                             if bx == b:
                                 lb.append(x)
+            self._mark(b, self.hit[b] - row)
             if gained:
-                self._mark({bo[y] for x in self.members(b) for y in succ[x]})
+                for c in self._targets(b):
+                    if b not in up[c]:
+                        self._mark(c, (b,))
             # A dict keeps its size when keys are deleted; rebuild.
             count[b] = dict(col)
 
@@ -504,6 +563,7 @@ class RefinementEngine:
             initial_blocks=self.initial_blocks,
             final_blocks=len(self.blocks),
             targets_visited=self.targets_visited,
+            pairs_tested=self.pairs_tested,
         )
         return SimulationResult(blocks, frozenset(preorder), block_of, stats)
 

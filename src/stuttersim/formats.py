@@ -173,15 +173,37 @@ def serialize_result(result: SimulationResult, full: bool = False) -> str:
     """Canonical result text: block lines, then strict 'leq' lines.
 
     Reflexive and within-block pairs are suppressed (reconstructible);
-    ``full`` appends every related state pair as 'pair <x> <y>' lines.
+    ``full`` appends every related state pair as 'pair <x> <y>' lines
+    (the text of ``_pair_chunks``).
     """
     lines = _block_lines(result.blocks)
     for i, j in result.strict_block_pairs():
         lines.append(f"leq {i} {j}")
-    if full:
-        for x, y in sorted(result.state_pairs()):
-            lines.append(f"pair {x} {y}")
-    return "\n".join(lines) + "\n"
+    text = "\n".join(lines) + "\n"
+    return text + "".join(_pair_chunks(result)) if full else text
+
+
+def _pair_chunks(result: SimulationResult, size: int = 1 << 16):
+    """The 'pair <x> <y>' line of every related state pair, in sorted
+    order, as texts of about ``size`` characters or more each.  The
+    states above each block are sorted and formatted once; state ``x``
+    writes the ones above its block, so no pair is held as a tuple."""
+    above: list[list[int]] = [[] for _ in result.blocks]
+    for i, j in result.preorder:
+        above[i].extend(result.blocks[j])
+    tails = [list(map(str, sorted(ys))) for ys in above]
+    out: list[str] = []
+    length = 0
+    for x, i in enumerate(result.block_of):
+        head = f"pair {x} "
+        out.append(head + f"\n{head}".join(tails[i]) + "\n")
+        length += len(out[-1])
+        if length >= size:
+            yield "".join(out)
+            out.clear()
+            length = 0
+    if out:
+        yield "".join(out)
 
 
 def parse_relation(text: str, k: KripkeStructure) -> set[tuple[int, int]]:

@@ -73,8 +73,9 @@ class InvariantChecks:
             for x in e.members(b):
                 assert e.block_of[x] == b
         assert pos == n, "blocks do not cover the state list"
-        flagged = [c for c in range(len(blocks)) if e.dirty[c]]
-        assert sorted(c for _, c in e.marked) == flagged, "worklist is not the flagged targets"
+        queued = sorted(c for _, c in e.marked)
+        assert queued == sorted(e.pending), "worklist is not the pending targets"
+        assert all(e.pending.values()), "a pending target has nothing to test"
         assert all(key <= blocks[c].begin for key, c in e.marked), "worklist key past its target"
         for b in order:
             assert b in up[b], "relation lost reflexivity"
@@ -106,20 +107,20 @@ class InvariantChecks:
             holding_bottoms[b] = {
                 c for c in up[b] if c != b and not bottoms.isdisjoint(e.members(c))
             }
-        # A target skipped as clean must have no refiner pair.
+        # A hit pair that the search would skip must be no refiner pair.
         pred = e.k.predecessors
         for c in order:
-            if e.dirty[c]:
-                continue
-            for b in {bo[x] for y in e.members(c) for x in pred[y]}:
+            hit = {bo[x] for y in e.members(c) for x in pred[y]}
+            assert e.hit[c] == hit, f"hit({c}) drifted"
+            for b in hit - e.pending.get(c, set()):
                 blk = blocks[b]
                 assert b in up[c] or all(s in count[c] for s in blk.local_bottoms), (
-                    f"clean target {c} has a refiner pair from {b}"
+                    f"refiner pair ({b}, {c}) is not pending"
                 )
                 assert all(
                     d in up[c] or any(x in count[c] for x in e.members(d))
                     for d in holding_bottoms[b]
-                ), f"clean target {c} has a refiner pair from {b}"
+                ), f"refiner pair ({b}, {c}) is not pending"
         if self.oracle_pairs is None:
             self.oracle_pairs = largest_simulation_within(e.k, self.initial_pairs)
         for s, t in self.oracle_pairs:

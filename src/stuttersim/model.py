@@ -207,7 +207,10 @@ class RunStats(NamedTuple):
     """Bookkeeping from one refinement run (post-collapse quantities).
 
     ``targets_visited`` counts the target blocks that refiner search
-    scanned, over all its calls.
+    scanned, over all its calls: those with a non-empty pending set.
+    ``pairs_tested`` counts the pending (hit block, target) pairs whose
+    bottom-state conditions it evaluated, the hit block not above the
+    target.
     """
 
     iterations: int
@@ -215,6 +218,7 @@ class RunStats(NamedTuple):
     initial_blocks: int
     final_blocks: int
     targets_visited: int
+    pairs_tested: int
 
 
 class SimulationResult:

@@ -1,3 +1,4 @@
+import hashlib
 import random
 import sys
 
@@ -190,20 +191,21 @@ def test_find_refiner_absent_at_fixpoint(f1):
 
 
 def test_find_refiner_drains_the_worklist(f1):
-    # Each flagged target is visited once, in list order, and a target
-    # that is cleared leaves the worklist.
+    # Each pending target is visited once, in list order, and a target
+    # that is cleared leaves the worklist and the pending sets.
     e = RefinementEngine(f1)
-    members, visits = e.members, []
+    visits = []
 
-    def counted(b):
-        visits.append(b)
-        assert len(visits) <= len(e.blocks), "a cleared target was visited again"
-        return members(b)
+    class Counted(list):
+        def __getitem__(self, c):
+            visits.append(c)
+            assert len(visits) <= len(e.blocks), "a cleared target was visited again"
+            return super().__getitem__(c)
 
-    e.members = counted
+    e.hit = Counted(e.hit)
     assert e.find_refiner() is None
     assert visits == block_order(e)
-    assert e.marked == [] and not any(e.dirty)
+    assert e.marked == [] and e.pending == {}
 
 
 def test_find_refiner_no_transitions():
@@ -259,15 +261,16 @@ def test_update_f2_bookkeeping(f2):
     e = RefinementEngine(f2)
     parent = e.block_of[0]
     b_r = e.block_of[2]
-    e.dirty[:] = bytes(len(e.dirty))
+    e.pending.clear()
     e.marked.clear()
     e.splitting_procedure([0])
     new = e.block_of[0]
     assert e.blocks[new].local_bottoms == [0]
     assert e.blocks[parent].local_bottoms == [3]
     # Only the new part steps into b_r, and the parent part has a local
-    # bottom, so b_r may now have a refiner pair from it.
-    assert [c for c in block_order(e) if e.dirty[c]] == [b_r]
+    # bottom, so b_r may now have a refiner pair from the new part,
+    # whose candidate set holds that bottom.
+    assert e.pending == {b_r: {new}}
     assert e.marked == [(e.blocks[b_r].begin, b_r)]
     for x in range(5):
         assert e.count[new].get(x, 0) == e.count[parent].get(x, 0)
@@ -278,15 +281,19 @@ def test_update_f2_bookkeeping(f2):
 
 def test_update_marks_targets_below_a_lost_block():
     # The part {1} loses the step 0 -> 3 into the block {3} and so into
-    # the candidate set of every block below it: {2} is marked too.
-    k = KripkeStructure(4, [(0, 3)], [["a"], ["a"], ["b"], ["b"]])
-    e = RefinementEngine(k, ([[0, 1], [2], [3]], [(0, 0), (1, 1), (2, 2), (1, 2)]))
-    below, above = e.block_of[2], e.block_of[3]
+    # the candidate set of every block below it: {2} is marked too.  The
+    # pairs marked are those of the hit blocks below {1}: {0} stepping
+    # into {3}, and {4}, below {0, 1} in the candidate, stepping into {2}.
+    k = KripkeStructure(5, [(0, 3), (4, 2)], [["a"], ["a"], ["b"], ["b"], ["a"]])
+    blocks = [[0, 1], [2], [3], [4]]
+    e = RefinementEngine(k, (blocks, [(0, 0), (1, 1), (2, 2), (3, 3), (1, 2), (3, 0)]))
+    below, above, low = e.block_of[2], e.block_of[3], e.block_of[4]
     assert e.up[below] == {below, above}
-    e.dirty[:] = bytes(len(e.dirty))
+    e.pending.clear()
     e.marked.clear()
     e.splitting_procedure([0])
-    assert {c for c in block_order(e) if e.dirty[c]} == {below, above}
+    new = e.block_of[0]
+    assert e.pending == {below: {low}, above: {new}}
     assert sorted(e.marked) == sorted((e.blocks[c].begin, c) for c in (below, above))
 
 
@@ -482,8 +489,26 @@ def test_sparse_300_pins_refiner_sequence():
     result = compute_preorder(k)
     stats = result.stats
     assert (stats.iterations, stats.blocks_created, stats.final_blocks) == (410, 450, 229)
-    assert stats.targets_visited == 957
+    assert (stats.targets_visited, stats.pairs_tested) == (762, 1283)
     assert check_preorder(k, result.state_pairs()).accepted
+
+
+# sha256 of the repr of the list of (b, c) refiner pairs that the trace
+# hook sees on generate_random_ks(7, n, 2 / n, 4).  Which pairs the search
+# tests may change; the pairs it returns may not.
+REFINER_SEQUENCE_SHA256 = {
+    300: "0904b83fc7db89bf66c77dd86457bd09eb09265ebd0b1b674cc13e0db7e66f31",
+    1500: "86adda52f2a6362afb67433031eda73e625e5de27cef1cc6e5359081b32f9cfd",
+}
+
+
+@pytest.mark.parametrize("n", sorted(REFINER_SEQUENCE_SHA256))
+def test_refiner_pair_sequence_is_pinned(n):
+    pairs = []
+    k = generate_random_ks(7, n, 2 / n, 4)
+    compute_preorder(k, trace=lambda i, pair, size, m: pairs.append(pair))
+    digest = hashlib.sha256(repr(pairs).encode()).hexdigest()
+    assert digest == REFINER_SEQUENCE_SHA256[n]
 
 
 def test_sparse_300_tables_hold_only_nonzero_entries():
@@ -504,9 +529,10 @@ def test_split_walks_no_block_list():
 
     e = RefinementEngine(generate_random_ks(7, 300, 2 / 300, 4))
     e.up, e.down, e.blocks = NoWalk(e.up), NoWalk(e.down), NoWalk(e.blocks)
+    e.hit = NoWalk(e.hit)
     stats = e.run().stats
     assert (stats.iterations, stats.blocks_created, stats.final_blocks) == (410, 450, 229)
-    assert stats.targets_visited == 957
+    assert (stats.targets_visited, stats.pairs_tested) == (762, 1283)
 
 
 def test_trace_counts_blocks_at_n300():

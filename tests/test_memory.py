@@ -5,11 +5,13 @@ counts the Python allocations made while it traces; each bound is a
 multiple of the model that ``parse_ks`` returns (equal labels shared).
 """
 
+import contextlib
 import tracemalloc
 
 import pytest
 
 from stuttersim import KripkeStructure, RefinementEngine, parse_ks, serialize_ks
+from stuttersim.cli import cli_main
 
 from conftest import stutter_chain
 
@@ -78,3 +80,28 @@ def test_engine_peak_above_the_model_under_four_fifths_of_it(parsed):
     result, _, peak = traced(lambda: RefinementEngine(k).run())
     assert len(result.blocks) == 4
     assert peak <= 0.8 * model, (peak, model)
+
+
+class _Sink:
+    """A stdout that keeps only the number of characters written."""
+
+    def __init__(self):
+        self.size = 0
+
+    def write(self, text: str) -> int:
+        self.size += len(text)
+        return len(text)
+
+
+def test_full_output_streams_in_bounded_memory(tmp_path):
+    """``compute --full`` on a 10³-state chain writes ~10⁶ pair lines;
+    they go out chunk by chunk, so the traced peak stays far below the
+    output."""
+    path = tmp_path / "chain.ks"
+    path.write_text(serialize_ks(stutter_chain(1000)))
+    sink = _Sink()
+    with contextlib.redirect_stdout(sink):
+        code, _, peak = traced(lambda: cli_main(["compute", str(path), "--full"]))
+    assert code == 0
+    assert sink.size > 12 * 10**6
+    assert peak <= sink.size / 10, (peak, sink.size)
