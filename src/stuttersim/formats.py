@@ -186,12 +186,10 @@ def serialize_result(result: SimulationResult, full: bool = False) -> str:
 def _pair_chunks(result: SimulationResult, size: int = 1 << 16):
     """The 'pair <x> <y>' line of every related state pair, in sorted
     order, as texts of about ``size`` characters or more each.  The
-    states above each block are sorted and formatted once; state ``x``
-    writes the ones above its block, so no pair is held as a tuple."""
-    above: list[list[int]] = [[] for _ in result.blocks]
-    for i, j in result.preorder:
-        above[i].extend(result.blocks[j])
-    tails = [list(map(str, sorted(ys))) for ys in above]
+    sorted states above each block (``StatePairs.rows``) are formatted
+    once; state ``x`` writes the ones above its block, so no pair is
+    held as a tuple."""
+    tails = [list(map(str, ys)) for ys in result.state_pairs().rows]
     out: list[str] = []
     length = 0
     for x, i in enumerate(result.block_of):

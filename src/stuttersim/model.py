@@ -6,7 +6,8 @@ atomic-proposition names; label equality is set equality.
 
 from __future__ import annotations
 
-from typing import Iterable, NamedTuple, Sequence
+from collections.abc import Set
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 
 class ValidationError(ValueError):
@@ -262,15 +263,56 @@ class SimulationResult:
         """True iff ``y`` stuttering-simulates ``x``."""
         return (self.block_of[x], self.block_of[y]) in self.preorder
 
-    def state_pairs(self) -> set[tuple[int, int]]:
-        """The full state-level preorder as a set of pairs."""
-        out: set[tuple[int, int]] = set()
-        for i, j in self.preorder:
-            for x in self.blocks[i]:
-                for y in self.blocks[j]:
-                    out.add((x, y))
-        return out
+    def state_pairs(self) -> StatePairs:
+        """The full state-level preorder, a read-only set of pairs that
+        iterates in sorted order."""
+        return StatePairs(self)
 
     def strict_block_pairs(self) -> list[tuple[int, int]]:
         """Non-reflexive preorder pairs in lexicographic order."""
         return sorted(p for p in self.preorder if p[0] != p[1])
+
+
+class StatePairs(Set):
+    """The state pairs ``(x, y)`` of a result's preorder, as a read-only
+    set that iterates in sorted order without holding a tuple per pair.
+
+    ``rows[i]`` lists, sorted, the states above every state of block
+    ``i``; state ``x``'s pairs are ``(x, y)`` for ``y`` in
+    ``rows[block_of[x]]``.  Set operators return builtin sets.
+    """
+
+    __slots__ = ("block_of", "rows", "_preorder")
+
+    def __init__(self, result: SimulationResult):
+        rows: list[list[int]] = [[] for _ in result.blocks]
+        for i, j in result.preorder:
+            rows[i].extend(result.blocks[j])
+        for ys in rows:
+            ys.sort()
+        self.block_of = result.block_of
+        self.rows = rows
+        self._preorder = result.preorder
+
+    def __contains__(self, pair: object) -> bool:
+        if not (isinstance(pair, tuple) and len(pair) == 2):
+            return False
+        x, y = pair
+        n = len(self.block_of)
+        if not (isinstance(x, int) and isinstance(y, int) and 0 <= x < n and 0 <= y < n):
+            return False
+        return (self.block_of[x], self.block_of[y]) in self._preorder
+
+    def __iter__(self) -> Iterator[tuple[int, int]]:
+        rows = self.rows
+        for x, i in enumerate(self.block_of):
+            for y in rows[i]:
+                yield x, y
+
+    def __len__(self) -> int:
+        rows = self.rows
+        return sum(len(rows[i]) for i in self.block_of)
+
+    @classmethod
+    def _from_iterable(cls, it: Iterable[tuple[int, int]]) -> set[tuple[int, int]]:
+        return set(it)

@@ -207,10 +207,13 @@ def test_serialize_result_single_block():
 
 def _sorted_pair_text(result) -> str:
     """The full result text as one sorted list of the state-pair tuples
-    gives it."""
+    gives it, the tuples expanded from the block preorder."""
+    pairs = {
+        (x, y) for i, j in result.preorder for x in result.blocks[i] for y in result.blocks[j]
+    }
     lines = [f"block {i}: " + " ".join(map(str, ms)) for i, ms in enumerate(result.blocks)]
     lines += [f"leq {i} {j}" for i, j in result.strict_block_pairs()]
-    lines += [f"pair {x} {y}" for x, y in sorted(result.state_pairs())]
+    lines += [f"pair {x} {y}" for x, y in sorted(pairs)]
     return "\n".join(lines) + "\n"
 
 

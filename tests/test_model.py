@@ -7,6 +7,7 @@ from stuttersim import (
     NotAPreorderError,
     RefinementEngine,
     ValidationError,
+    compute_preorder,
     generate_random_ks,
     labeling_partition,
     quotient,
@@ -204,3 +205,24 @@ def test_validate_preorder_rejects_out_of_range_before_reflexivity():
     assert not isinstance(exc.value, NotAPreorderError)
     with pytest.raises(ValidationError):
         validate_preorder(2, [(-1, 0), (0, 0), (1, 1)])
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_state_pairs_is_the_expanded_preorder(seed):
+    k = generate_random_ks(seed, 1 + seed % 15, 0.2, 1 + seed % 3)
+    result = compute_preorder(k)
+    expected = {
+        (x, y) for i, j in result.preorder for x in result.blocks[i] for y in result.blocks[j]
+    }
+    pairs = result.state_pairs()
+    assert pairs == expected and expected == pairs and not pairs != expected
+    assert list(pairs) == sorted(expected) and len(pairs) == len(expected)
+    n = k.num_states
+    outside = [(-1, 0), (0, n), (n, 0), (0,), (0, 0, 0), "ab", (0.0, 0), None]
+    for x in range(-1, n + 1):
+        for y in range(-1, n + 1):
+            assert ((x, y) in pairs) == ((x, y) in expected)
+    assert not any(p in pairs for p in outside)
+    extra = {(n, n)}
+    assert pairs | extra == expected | extra and type(pairs | extra) is set
+    assert pairs - {(0, 0)} == expected - {(0, 0)} and pairs <= expected
