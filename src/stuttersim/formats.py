@@ -183,13 +183,19 @@ def serialize_result(result: SimulationResult, full: bool = False) -> str:
     return text + "".join(_pair_chunks(result)) if full else text
 
 
-def _pair_chunks(result: SimulationResult, size: int = 1 << 16):
+# Characters per text of ``_pair_chunks``: a few writes for the sparse
+# model's pairs, and a bound on what ``compute --full`` holds at once.
+_PAIR_CHUNK = 1 << 16
+
+
+def _pair_chunks(result: SimulationResult):
     """The 'pair <x> <y>' line of every related state pair, in sorted
-    order, as texts of about ``size`` characters or more each.  The
+    order, as texts of ``_PAIR_CHUNK`` characters or more each but the last.  The
     sorted states above each block (``StatePairs.rows``) are formatted
     once; state ``x`` writes the ones above its block, so no pair is
     held as a tuple."""
     tails = [list(map(str, ys)) for ys in result.state_pairs().rows]
+    size = _PAIR_CHUNK
     out: list[str] = []
     length = 0
     for x, i in enumerate(result.block_of):

@@ -264,8 +264,9 @@ class SimulationResult:
         return (self.block_of[x], self.block_of[y]) in self.preorder
 
     def state_pairs(self) -> StatePairs:
-        """The full state-level preorder, a read-only set of pairs that
-        iterates in sorted order."""
+        """The full state-level preorder as a read-only ``Set`` view of
+        pairs that iterates in sorted order (see ``StatePairs``); call
+        ``set()`` on it for a builtin set."""
         return StatePairs(self)
 
     def strict_block_pairs(self) -> list[tuple[int, int]]:
@@ -279,10 +280,14 @@ class StatePairs(Set):
 
     ``rows[i]`` lists, sorted, the states above every state of block
     ``i``; state ``x``'s pairs are ``(x, y)`` for ``y`` in
-    ``rows[block_of[x]]``.  Set operators return builtin sets.
+    ``rows[block_of[x]]``.  It supports what ``collections.abc.Set``
+    gives: membership, ``len``, iteration, equality and the operators,
+    which return builtin sets.  It has none of ``set``'s named methods
+    (``add``, ``copy``, ``union``, ``issubset``, ...) and is no
+    instance of ``set``.
     """
 
-    __slots__ = ("block_of", "rows", "_preorder")
+    __slots__ = ("block_of", "rows", "_preorder", "_len")
 
     def __init__(self, result: SimulationResult):
         rows: list[list[int]] = [[] for _ in result.blocks]
@@ -293,6 +298,7 @@ class StatePairs(Set):
         self.block_of = result.block_of
         self.rows = rows
         self._preorder = result.preorder
+        self._len = sum(len(ms) * len(ys) for ms, ys in zip(result.blocks, rows))
 
     def __contains__(self, pair: object) -> bool:
         if not (isinstance(pair, tuple) and len(pair) == 2):
@@ -310,8 +316,7 @@ class StatePairs(Set):
                 yield x, y
 
     def __len__(self) -> int:
-        rows = self.rows
-        return sum(len(rows[i]) for i in self.block_of)
+        return self._len
 
     @classmethod
     def _from_iterable(cls, it: Iterable[tuple[int, int]]) -> set[tuple[int, int]]:

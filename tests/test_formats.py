@@ -15,6 +15,7 @@ from stuttersim import (
     serialize_ks,
     serialize_result,
 )
+from stuttersim import formats
 from stuttersim.formats import _pair_chunks
 
 from conftest import random_preorder
@@ -218,7 +219,7 @@ def _sorted_pair_text(result) -> str:
 
 
 @pytest.mark.parametrize("seed", range(60))
-def test_full_pairs_match_the_sorted_state_pairs(seed):
+def test_full_pairs_match_the_sorted_state_pairs(seed, monkeypatch):
     # Dense one-label models collapse cycles; every third seed starts
     # from a random candidate preorder instead of the label classes.
     rng = random.Random(seed)
@@ -234,7 +235,8 @@ def test_full_pairs_match_the_sorted_state_pairs(seed):
     text = _sorted_pair_text(result)
     assert serialize_result(result, full=True) == text
     size = rng.randrange(1, 40)
-    chunks = list(_pair_chunks(result, size))
+    monkeypatch.setattr(formats, "_PAIR_CHUNK", size)
+    chunks = list(_pair_chunks(result))
     assert serialize_result(result) + "".join(chunks) == text
     assert all(len(chunk) >= size for chunk in chunks[:-1])
 
