@@ -304,51 +304,51 @@ class RefinementEngine:
     def find_refiner(self) -> tuple[int, int] | None:
         """First block pair (B, C) whose candidate sets still need work.
 
-        Scans target blocks in list order and, per target, its pending
-        blocks that hold a predecessor of it, in list order; the reverse
-        topological block order guarantees that every pair above the
-        current one was already cleared, which is what makes the two
-        bottom-state conditions a complete characterization.  A zero
-        counter is an absent key, so both conditions are membership tests.
+        A pair ``(b, c)`` with ``b`` in ``hit[c]`` and outside ``up[c]``
+        is a refiner pair when a bottom state of ``b``'s candidate set
+        lies outside ``c``'s and has no successor in it.  A block ``d``
+        above ``b`` has its candidate set inside ``b``'s, so the bottom
+        states of ``b``'s set in ``d`` are the local bottoms of ``d``
+        absent from ``count[b]``; they lie outside ``c``'s set when ``d``
+        is outside ``up[c]``, and step into it when they are keys of
+        ``count[c]``.  A zero counter is an absent key, so the whole
+        test reads membership in the tables.
 
-        A block ``d`` above ``b`` has its candidate set inside ``b``'s,
-        so the bottom states of ``b``'s set in ``d`` are the local
-        bottoms of ``d`` absent from ``count[b]``; ``b`` itself never
-        passes, as it steps into ``c``.  A ``d`` above ``c`` or stepping
-        into ``image(c)`` is skipped; it steps into it exactly when a
-        member is a key of ``count[c]``, which the walk reads only for a
-        ``d`` holding such a bottom.
+        Targets are scanned in list order and, per target, its pending
+        hit blocks in list order.  At a main-loop boundary the block
+        relation is antisymmetric, and the first pair found is also the
+        first under a block-level test that skips a whole ``d`` once any
+        member steps into ``image(c)``.  Had the witness ``d`` a member
+        stepping into some ``c'`` in ``up[c]``, the pair ``(d, c')``
+        would come earlier (``c'`` is above ``c``, or ``c' == c`` and
+        ``d`` is above ``b``), so it is no refiner pair, so ``d``'s local
+        bottoms step into ``image(c')``, inside ``image(c)``, against the
+        witness bottom being no key of ``count[c]``.
 
-        So a pair ``(b, c)`` with ``b`` in ``hit[c]`` and outside
-        ``up[c]`` is a refiner pair when a bottom state of ``b``'s
-        candidate set lies in a block of ``up[b]`` that ``c`` does not
-        skip (for ``b``'s own local bottoms: a state outside
-        ``count[c]``).  The search tests only the hit blocks in the
-        target's pending set.  A pair it clears leaves the set; a scan
-        that returns a pair keeps that pair and the ones after it.  A
-        hit block outside the set has no refiner pair with the target,
-        because each write that can give it one adds the block where
-        the write happens:
+        The search tests only the hit blocks in the target's pending
+        set.  A pair it clears leaves the set; a scan that returns a
+        pair keeps that pair and the ones after it.  A pair's status
+        depends only on the candidate sets and counters of its states,
+        which only ``refine`` changes.  So a hit block outside the set
+        has no refiner pair with the target, because each write that can
+        give it one adds the block where the write happens:
 
         - ``refine`` deleting a key of ``count[b]`` whose block stays in
           ``up[b]`` gives ``b``'s candidate set a new bottom state: it
           adds ``b`` for every target ``b`` steps into;
         - ``refine`` pruning ``up[c]`` and deleting keys of ``count[c]``
-          can unskip any block and take any state out of ``c``'s image:
-          it adds every hit block of ``c`` (naming the blocks of the
-          deleted keys costs more than the tests it saves);
-        - ``update`` finds the targets whose image only one part of a
-          split parent still steps into.  The other part was skipped
-          inside its parent and no longer is, and it gives a new pair
-          only through a local bottom of its own, to a hit block below
-          it: ``update`` adds those hit blocks.
+          can take any state out of ``c``'s image or out of its
+          predecessors: it adds every hit block of ``c`` (naming the
+          blocks of the deleted keys costs more than the tests it
+          saves).
 
         A block above its target never forms a pair, so no site adds
-        one.  A split itself keeps every candidate set and every
-        state's counters.  So a new block takes its parent's pending
-        set as a target and, as a hit block, joins each set that holds
-        its parent; ``update`` then keeps ``hit`` exact and drops from
-        the split targets' sets the blocks that no longer hit them.
+        one.  A split keeps every state's candidate set and counters, so
+        it changes no unsplit pair's status, and a new block's pairs have
+        its parent's.  So a new block takes its parent's pending set as
+        a target and, as a hit block, joins each set that holds its
+        parent; ``update`` then keeps ``hit`` exact and drops from the
+        split targets' sets the blocks that no longer hit them.
         Targets with a non-empty set wait in ``marked``, keyed at or
         below their ``begin``, which a split only moves forward: a
         stale key on top is re-keyed, and a current one is the first
@@ -364,23 +364,21 @@ class RefinementEngine:
                 heapreplace(marked, (blocks[c].begin, c))
                 continue
             self.targets_visited += 1
-            into_c, above = count[c].__contains__, up[c]
+            into_c, above = count[c], up[c]
             # blocks lie in list order along the state list
             todo = sorted(hit[c].intersection(pending[c]), key=lambda b: blocks[b].begin)
             for i, b in enumerate(todo):
                 if b in above:
                     continue  # up[b] lies inside up[c]
                 self.pairs_tested += 1
-                if all(map(into_c, blocks[b].local_bottoms)):
-                    into_b = count[b].__contains__
-                    for d in up[b] - above:
-                        if d != b and not all(map(into_b, blocks[d].local_bottoms)):
-                            if not any(map(into_c, self.members(d))):
-                                break
-                    else:
-                        continue
-                pending[c] = set(todo[i:])
-                return (b, c)
+                into_b = count[b]
+                if any(
+                    x not in into_b and x not in into_c
+                    for d in up[b] - above
+                    for x in blocks[d].local_bottoms
+                ):
+                    pending[c] = set(todo[i:])
+                    return (b, c)
             del pending[c]
             heappop(marked)
         return None
@@ -433,50 +431,31 @@ class RefinementEngine:
 
     def update(self, pairs: Sequence[tuple[int, int]]) -> None:
         """Repair the hit sets, the pending sets and the local bottoms of
-        both parts of each split parent, and mark the pairs a part's
-        lost target can give (see ``find_refiner``).  Candidate sets are
-        unchanged, so the counters each new block copied from its parent
-        stay right and the parent's bottom states redistribute between
-        the parts.  A part steps into the image of each block below one
-        it steps into, so a split costs the parent's edges and, if it
-        had local bottoms, the down-sets of the blocks that only one
-        part steps into.  The hit sets are repaired for every pair
-        before any is read.  ``pairs`` are the ``(parent, new block)``
-        pairs of ``split``."""
-        blocks, bo, up, down = self.blocks, self.block_of, self.up, self.down
-        hit, pending = self.hit, self.pending
-        targets = {}
+        both parts of each split parent.  Candidate sets are unchanged,
+        so the counters each new block copied from its parent stay
+        right, the parent's bottom states redistribute between the
+        parts, and no pair's status changes (see ``find_refiner``).  A
+        split costs the parent's edges.  The hit sets are repaired for
+        every pair before any is read.  ``pairs`` are the ``(parent, new
+        block)`` pairs of ``split``."""
+        blocks, bo, hit, pending = self.blocks, self.block_of, self.hit, self.pending
         for p, i in pairs:
             hit[p], hit[i] = self._hit(p), self._hit(i)
-            targets[p], targets[i] = self._targets(p), self._targets(i)
-            for c in targets[i]:
+            into_i = self._targets(i)
+            for c in into_i:
                 hit[c].add(i)
                 if p in pending.get(c, ()):
                     pending[c].add(i)
-            for c in targets[i] - targets[p]:
+            for c in into_i - self._targets(p):
                 hit[c].discard(p)
+            old = blocks[p].local_bottoms
+            blocks[p].local_bottoms = [x for x in old if bo[x] == p]
+            blocks[i].local_bottoms = [x for x in old if bo[x] == i]
         for p, i in pairs:
             for c in (p, i):
                 kept = hit[c].intersection(pending.get(c, ()))
                 if kept:
                     pending[c] = kept
-            blk_i, blk_p = blocks[i], blocks[p]
-            old = blk_p.local_bottoms
-            blk_p.local_bottoms = [x for x in old if bo[x] == p]
-            blk_i.local_bottoms = [x for x in old if bo[x] == i]
-            if not old:
-                continue
-            # A part gives a new pair through a local bottom of its own
-            # and a target ``c`` whose image the other part steps into and
-            # it does not: ``c`` lies below a block that only the other
-            # part steps into.  The pair's hit block lies below the part.
-            for part, other in ((p, i), (i, p)):
-                mine = targets[part]
-                gone = targets[other] - mine
-                if gone and blocks[part].local_bottoms:
-                    for c in set().union(*map(down.__getitem__, gone)):
-                        if up[c].isdisjoint(mine):
-                            self._mark(c, down[part].intersection(hit[c]) - up[c])
 
     def refine(self, s_list: Sequence[int]) -> None:
         """Prune the relation against a splitter that is now a union of

@@ -169,18 +169,17 @@ def _block_lines(blocks: list[list[int]]) -> list[str]:
     return [f"block {i}: " + " ".join(map(str, ms)) for i, ms in enumerate(blocks)]
 
 
-def serialize_result(result: SimulationResult, full: bool = False) -> str:
+def serialize_result(result: SimulationResult) -> str:
     """Canonical result text: block lines, then strict 'leq' lines.
 
     Reflexive and within-block pairs are suppressed (reconstructible);
-    ``full`` appends every related state pair as 'pair <x> <y>' lines
-    (the text of ``_pair_chunks``).
+    ``_pair_chunks`` gives every related state pair as 'pair <x> <y>'
+    lines, which ``compute --full`` writes after this text.
     """
     lines = _block_lines(result.blocks)
     for i, j in result.strict_block_pairs():
         lines.append(f"leq {i} {j}")
-    text = "\n".join(lines) + "\n"
-    return text + "".join(_pair_chunks(result)) if full else text
+    return "\n".join(lines) + "\n"
 
 
 # Characters per text of ``_pair_chunks``: a few writes for the sparse

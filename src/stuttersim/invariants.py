@@ -97,30 +97,22 @@ class InvariantChecks:
             col = {x: sum(bo[y] in up[c] for y in succ[x]) for x in range(n)}
             assert count[c] == {x: v for x, v in col.items() if v}, f"Count({c}) drifted"
             assert down[c] == {b for b in order if c in up[b]}, f"down({c}) drifted"
-        # The blocks above b other than b that hold a bottom state of
-        # b's candidate set.
-        holding_bottoms = {}
+        bottoms = {}
         for b in order:
-            bottoms = {x for x in mu[b] if not any(y in mu[b] for y in succ[x])}
-            expect_lb = bottoms.intersection(e.members(b))
+            bottoms[b] = {x for x in mu[b] if not any(y in mu[b] for y in succ[x])}
+            expect_lb = bottoms[b].intersection(e.members(b))
             assert set(blocks[b].local_bottoms) == expect_lb, f"localBottoms({b}) drifted"
-            holding_bottoms[b] = {
-                c for c in up[b] if c != b and not bottoms.isdisjoint(e.members(c))
-            }
-        # A hit pair that the search would skip must be no refiner pair.
+        # A hit pair outside the pending sets must be no refiner pair:
+        # every bottom state of b's candidate set lies in c's or steps
+        # into it.
         pred = e.k.predecessors
         for c in order:
             hit = {bo[x] for y in e.members(c) for x in pred[y]}
             assert e.hit[c] == hit, f"hit({c}) drifted"
             for b in hit - e.pending.get(c, set()):
-                blk = blocks[b]
-                assert b in up[c] or all(s in count[c] for s in blk.local_bottoms), (
+                assert all(x in mu[c] or x in count[c] for x in bottoms[b]), (
                     f"refiner pair ({b}, {c}) is not pending"
                 )
-                assert all(
-                    d in up[c] or any(x in count[c] for x in e.members(d))
-                    for d in holding_bottoms[b]
-                ), f"refiner pair ({b}, {c}) is not pending"
         if self.oracle_pairs is None:
             self.oracle_pairs = largest_simulation_within(e.k, self.initial_pairs)
         for s, t in self.oracle_pairs:

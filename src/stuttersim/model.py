@@ -210,7 +210,7 @@ class RunStats(NamedTuple):
     ``targets_visited`` counts the target blocks that refiner search
     scanned, over all its calls: those with a non-empty pending set.
     ``pairs_tested`` counts the pending (hit block, target) pairs whose
-    bottom-state conditions it evaluated, the hit block not above the
+    bottom-state condition it evaluated, the hit block not above the
     target.
     """
 

@@ -221,7 +221,7 @@ def test_checks_computed_preorder_at_n1500():
     result = compute_preorder(k)
     stats = result.stats
     assert (stats.iterations, stats.blocks_created, stats.final_blocks) == (1904, 2166, 1087)
-    assert (stats.targets_visited, stats.pairs_tested) == (3690, 6222)
+    assert (stats.targets_visited, stats.pairs_tested) == (3673, 6080)
     best = result.state_pairs()
     assert check_preorder(k, best).accepted
     _assert_rejects_augmentations(k, best, random.Random(1500))

@@ -260,40 +260,51 @@ def test_update_empty_is_noop(f2):
 def test_update_f2_bookkeeping(f2):
     e = RefinementEngine(f2)
     parent = e.block_of[0]
+    b_q = e.block_of[1]
     b_r = e.block_of[2]
-    e.pending.clear()
-    e.marked.clear()
+    # (parent, b_r) is a refiner pair from the start: 3 cannot step into r.
+    assert _is_refiner_by_states(e, parent, b_r) and parent in e.pending[b_r]
     e.splitting_procedure([0])
     new = e.block_of[0]
     assert e.blocks[new].local_bottoms == [0]
     assert e.blocks[parent].local_bottoms == [3]
-    # Only the new part steps into b_r, and the parent part has a local
-    # bottom, so b_r may now have a refiner pair from the new part,
-    # whose candidate set holds that bottom.
-    assert e.pending == {b_r: {new}}
-    assert e.marked == [(e.blocks[b_r].begin, b_r)]
+    # Only the new part steps into b_r; its pair keeps the parent's
+    # status, and it joined b_r's pending set as the parent's copy.
+    assert e.hit[b_r] == {new}
+    assert _is_refiner_by_states(e, new, b_r) and new in e.pending[b_r]
+    assert (e.blocks[b_r].begin, b_r) in e.marked
     for x in range(5):
         assert e.count[new].get(x, 0) == e.count[parent].get(x, 0)
     # sibling halves hold each other's bottom states
     assert _blocks_holding_bottoms(e, new) == {parent}
     assert _blocks_holding_bottoms(e, parent) == {new}
+    # Splitting the pending target b_q copies its pending set to the new
+    # part, and each part keeps the blocks that still hit it.
+    assert e.pending[b_q] == {parent, new}
+    e.splitting_procedure([1])
+    new_q = e.block_of[1]
+    assert e.pending[new_q] == {new} and e.pending[b_q] == {parent}
+    assert (e.blocks[new_q].begin, new_q) in e.marked
 
 
-def test_update_marks_targets_below_a_lost_block():
+def test_update_keeps_pairs_below_a_lost_block_pending():
     # The part {1} loses the step 0 -> 3 into the block {3} and so into
-    # the candidate set of every block below it: {2} is marked too.  The
-    # pairs marked are those of the hit blocks below {1}: {0} stepping
-    # into {3}, and {4}, below {0, 1} in the candidate, stepping into {2}.
+    # the candidate set of every block below it, {2} included.  The
+    # pairs that could gain from that loss, {4} into {2} and {0} into
+    # {3}, are refiner pairs before the split already, so they stay
+    # pending: {4}'s pair unsplit, and {0}'s through the new part.
     k = KripkeStructure(5, [(0, 3), (4, 2)], [["a"], ["a"], ["b"], ["b"], ["a"]])
     blocks = [[0, 1], [2], [3], [4]]
     e = RefinementEngine(k, (blocks, [(0, 0), (1, 1), (2, 2), (3, 3), (1, 2), (3, 0)]))
     below, above, low = e.block_of[2], e.block_of[3], e.block_of[4]
+    parent = e.block_of[0]
     assert e.up[below] == {below, above}
-    e.pending.clear()
-    e.marked.clear()
+    assert _is_refiner_by_states(e, low, below) and _is_refiner_by_states(e, parent, above)
+    assert e.pending == {below: {low}, above: {parent}}
     e.splitting_procedure([0])
     new = e.block_of[0]
-    assert e.pending == {below: {low}, above: {new}}
+    assert e.pending == {below: {low}, above: {parent, new}}
+    assert e.hit[above] == {new} and _is_refiner_by_states(e, new, above)
     assert sorted(e.marked) == sorted((e.blocks[c].begin, c) for c in (below, above))
 
 
@@ -410,13 +421,14 @@ def _first_refiner(e: RefinementEngine) -> tuple[int, int] | None:
     """The refiner search by definition: every (B, C) pair, target-major,
     that has a transition from B into C, tested against the two
     bottom-state conditions with no marks and no skips.  Bottom states
-    come from ``count`` and the block members, not the engine's lists."""
+    come from ``count`` and the block members, not the engine's lists.
+    A block holding a bottom state is skipped when a member steps into
+    ``C``'s candidate set, which agrees with the state-level definition
+    on the first pair only where the block relation is antisymmetric."""
     order = block_order(e)
     for c in order:
         for b in order:
-            if not any(
-                e.block_of[y] == c for x in e.members(b) for y in e.k.successors[x]
-            ):
+            if not _hits(e, b, c):
                 continue
             bottoms = [x for x in e.members(b) if x not in e.count[b]]
             if b not in e.up[c] and any(s not in e.count[c] for s in bottoms):
@@ -430,10 +442,47 @@ def _first_refiner(e: RefinementEngine) -> tuple[int, int] | None:
     return None
 
 
+def _hits(e: RefinementEngine, b: int, c: int) -> bool:
+    return any(e.block_of[y] == c for x in e.members(b) for y in e.k.successors[x])
+
+
+def _is_refiner_by_states(e: RefinementEngine, b: int, c: int) -> bool:
+    """Whether some bottom state of ``b``'s candidate set lies outside
+    ``c``'s and has no successor in it, from the block members and the
+    successors alone."""
+    mu_b, mu_c = set(e.image(b)), set(e.image(c))
+    succ = e.k.successors
+    return any(
+        x not in mu_c and all(y not in mu_b and y not in mu_c for y in succ[x])
+        for x in mu_b
+    )
+
+
+def _first_refiner_by_states(e: RefinementEngine) -> tuple[int, int] | None:
+    """The first pair, target-major in list order, with a transition from
+    B into C that is a refiner pair by the state-level definition."""
+    order = block_order(e)
+    for c in order:
+        for b in order:
+            if _hits(e, b, c) and _is_refiner_by_states(e, b, c):
+                return (b, c)
+    return None
+
+
+def _assert_first_refiner(e: RefinementEngine) -> tuple[int, int] | None:
+    """The search's pair, checked against the state-level definition,
+    and against the block-level one where the block relation is
+    antisymmetric (at every main-loop boundary among others)."""
+    found = e.find_refiner()
+    assert found == _first_refiner_by_states(e)
+    if all(b not in e.up[c] for b, row in enumerate(e.up) for c in row if c != b):
+        assert found == _first_refiner(e)
+    return found
+
+
 def _assert_search_matches_definition(e: RefinementEngine) -> None:
     while True:
-        found = e.find_refiner()
-        assert found == _first_refiner(e)
+        found = _assert_first_refiner(e)
         if found is None:
             return
         splitter = e.pos_ordered(e.image(found[0]), found[1])
@@ -471,16 +520,48 @@ def test_find_refiner_matches_definition_from_candidate(seed):
 def test_find_refiner_matches_definition_after_any_split(seed):
     # Random splitters and prunings rather than the main loop's: every
     # write that can give a target skipped as clean a pair must mark it.
+    # A bare split leaves its parts mutually related, so there the
+    # block-level definition differs and only the state-level one holds.
     rng = random.Random(seed)
     k = generate_random_ks(22_000 + seed, 3 + seed % 26, (0.1, 0.2, 0.3)[seed % 3], 1 + seed % 3)
     e = RefinementEngine(k)
     for _ in range(20):
-        assert e.find_refiner() == _first_refiner(e)
+        _assert_first_refiner(e)
         splitter = [x for x in e.state_list if rng.random() < 0.4]
         e.splitting_procedure(splitter)
-        assert e.find_refiner() == _first_refiner(e)
+        _assert_first_refiner(e)
         if rng.random() < 0.5:
             e.refine(splitter)
+
+
+def test_split_keeps_every_pair_status():
+    # A split changes no state's candidate set, so each hit pair after it
+    # has the state-level status of the pair of its parts' parents.
+    seen = []
+    for seed in range(40):
+        rng = random.Random(seed)
+        density = (0.1, 0.2, 0.3)[seed % 3]
+        k = generate_random_ks(23_000 + seed, 3 + seed % 20, density, 1 + seed % 3)
+        e = RefinementEngine(k)
+        for _ in range(10):
+            m = len(e.blocks)
+            before = {
+                (b, c): _is_refiner_by_states(e, b, c)
+                for c in range(m) for b in range(m) if _hits(e, b, c)
+            }
+            parent_of = list(e.block_of)
+            splitter = [x for x in e.state_list if rng.random() < 0.4]
+            e.splitting_procedure(splitter)
+            for c in range(len(e.blocks)):
+                for b in range(len(e.blocks)):
+                    if _hits(e, b, c):
+                        was = before[parent_of[e.members(b)[0]], parent_of[e.members(c)[0]]]
+                        assert _is_refiner_by_states(e, b, c) == was, (seed, b, c)
+                        seen.append(was)
+            if rng.random() < 0.5:
+                e.refine(splitter)
+    # Both statuses occur often, so a split that flipped either shows.
+    assert min(seen.count(True), seen.count(False)) > 100
 
 
 def test_sparse_300_pins_refiner_sequence():
@@ -489,7 +570,7 @@ def test_sparse_300_pins_refiner_sequence():
     result = compute_preorder(k)
     stats = result.stats
     assert (stats.iterations, stats.blocks_created, stats.final_blocks) == (410, 450, 229)
-    assert (stats.targets_visited, stats.pairs_tested) == (762, 1283)
+    assert (stats.targets_visited, stats.pairs_tested) == (760, 1277)
     assert check_preorder(k, result.state_pairs()).accepted
 
 
@@ -532,7 +613,7 @@ def test_split_walks_no_block_list():
     e.hit = NoWalk(e.hit)
     stats = e.run().stats
     assert (stats.iterations, stats.blocks_created, stats.final_blocks) == (410, 450, 229)
-    assert (stats.targets_visited, stats.pairs_tested) == (762, 1283)
+    assert (stats.targets_visited, stats.pairs_tested) == (760, 1277)
 
 
 def test_trace_counts_blocks_at_n300():

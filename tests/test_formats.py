@@ -196,7 +196,7 @@ def test_serialize_result_f2(f2):
 
 def test_serialize_result_full_pairs(f2):
     result = compute_preorder(f2)
-    text = serialize_result(result, full=True)
+    text = serialize_result(result) + "".join(_pair_chunks(result))
     assert "pair 3 0\n" in text and "pair 1 4\n" in text and "pair 0 0\n" in text
     assert "pair 0 3" not in text
 
@@ -233,7 +233,7 @@ def test_full_pairs_match_the_sorted_state_pairs(seed, monkeypatch):
         except ValidationError:
             pass  # candidate block order incompatible with the topology
     text = _sorted_pair_text(result)
-    assert serialize_result(result, full=True) == text
+    assert serialize_result(result) + "".join(_pair_chunks(result)) == text
     size = rng.randrange(1, 40)
     monkeypatch.setattr(formats, "_PAIR_CHUNK", size)
     chunks = list(_pair_chunks(result))
