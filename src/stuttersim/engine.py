@@ -13,6 +13,7 @@ The search takes its targets from a heap keyed by ``begin``.
 
 from __future__ import annotations
 
+from collections import defaultdict
 from heapq import heappop, heappush, heapreplace
 from typing import Callable, Iterable, Sequence
 
@@ -189,13 +190,10 @@ class RefinementEngine:
                 self.down[c].add(b)
         # Nonzero entries only: count[c][x] = |succ(x) & image(c)|.
         self.count: list[dict[int, int]] = [{} for _ in range(m)]
-        # hit[c]: the blocks with a member stepping into c.  pending[c]:
-        # the hit blocks that may form a refiner pair with c (see
-        # ``find_refiner``), at first all of them; a target with none has
-        # no entry.  ``marked``: a heap of one (key <= blocks[c].begin, c)
-        # per pending target.
-        self.hit: list[set[int]] = [self._hit(c) for c in range(m)]
-        self.pending: dict[int, set[int]] = {c: set(hs) for c, hs in enumerate(self.hit) if hs}
+        # pending[c]: the hit blocks of c (``_hit``) that may form a refiner
+        # pair with it (``find_refiner``), at first all; no entry if none.
+        # ``marked``: a heap of one (key <= begin, c) per pending target.
+        self.pending: dict[int, set[int]] = {c: hs for c in range(m) if (hs := self._hit(c))}
         self.marked = sorted((self.blocks[c].begin, c) for c in self.pending)
 
         self._init_counters()
@@ -219,8 +217,9 @@ class RefinementEngine:
 
     def _new_block(self, parent: int, begin: int, end: int) -> int:
         """Allocate a block that starts as a copy of ``parent``: related
-        to and from what the parent is, with the parent's counter column.
-        Only the sets of the blocks related to the parent change."""
+        to and from what the parent is, with the parent's counter column
+        and, as a target, its pending set (``update`` adds it as a hit
+        block).  Only the sets of the blocks related to the parent change."""
         bid = len(self.blocks)
         up, down = self.up, self.down
         for d in down[parent]:
@@ -231,10 +230,6 @@ class RefinementEngine:
             down[c].add(bid)
         self.count.append(dict(self.count[parent]))
         self.blocks.append(_Block(begin, end))
-        # As a target, the new block starts with its parent's pending
-        # set; ``update`` sets its hit set and adds it, as a hit block,
-        # to the sets holding its parent once the whole split is done.
-        self.hit.append(set())
         if parent in self.pending:
             self.pending[bid] = set(self.pending[parent])
             heappush(self.marked, (begin, bid))
@@ -304,7 +299,7 @@ class RefinementEngine:
     def find_refiner(self) -> tuple[int, int] | None:
         """First block pair (B, C) whose candidate sets still need work.
 
-        A pair ``(b, c)`` with ``b`` in ``hit[c]`` and outside ``up[c]``
+        A pair ``(b, c)`` with ``b`` in ``_hit(c)`` and outside ``up[c]``
         is a refiner pair when a bottom state of ``b``'s candidate set
         lies outside ``c``'s and has no successor in it.  A block ``d``
         above ``b`` has its candidate set inside ``b``'s, so the bottom
@@ -347,17 +342,17 @@ class RefinementEngine:
         it changes no unsplit pair's status, and a new block's pairs have
         its parent's.  So a new block takes its parent's pending set as
         a target and, as a hit block, joins each set that holds its
-        parent; ``update`` then keeps ``hit`` exact and drops from the
-        split targets' sets the blocks that no longer hit them.
-        Targets with a non-empty set wait in ``marked``, keyed at or
-        below their ``begin``, which a split only moves forward: a
+        parent; ``update`` then drops from the split targets' sets the
+        blocks that no longer hit them, and a visit does so for the
+        others.  Targets with a non-empty set wait in ``marked``, keyed
+        at or below their ``begin``, which a split only moves forward: a
         stale key on top is re-keyed, and a current one is the first
         pending target in list order.  So a call costs a heap operation
-        per target popped or re-keyed plus, per target visited, a sort
-        of its pending hit blocks and their tests.
+        per target popped or re-keyed plus, per target visited, a walk
+        of its in-edges, a sort of its pending hit blocks and their tests.
         """
         up, count, pending, marked = self.up, self.count, self.pending, self.marked
-        hit, blocks = self.hit, self.blocks
+        blocks = self.blocks
         while marked:
             key, c = marked[0]
             if key != blocks[c].begin:
@@ -366,7 +361,7 @@ class RefinementEngine:
             self.targets_visited += 1
             into_c, above = count[c], up[c]
             # blocks lie in list order along the state list
-            todo = sorted(hit[c].intersection(pending[c]), key=lambda b: blocks[b].begin)
+            todo = sorted(self._hit(c) & pending[c], key=lambda b: blocks[b].begin)
             for i, b in enumerate(todo):
                 if b in above:
                     continue  # up[b] lies inside up[c]
@@ -396,19 +391,12 @@ class RefinementEngine:
         properly split parent.
         """
         bo = self.block_of
-        parents: list[int] = []
-        inside: dict[int, list[int]] = {}
+        inside: dict[int, list[int]] = defaultdict(list)  # parents in splitter order
         for x in s_list:
-            b = bo[x]
-            grp = inside.get(b)
-            if grp is None:
-                inside[b] = grp = []
-                parents.append(b)
-            grp.append(x)
+            inside[bo[x]].append(x)
         pairs: list[tuple[int, int]] = []
-        for p in parents:
+        for p, ss in inside.items():
             blk = self.blocks[p]
-            ss = inside[p]
             if len(ss) == blk.end - blk.begin:
                 continue  # whole block inside the splitter: no split
             nid = self._new_block(p, blk.begin, blk.begin + len(ss))
@@ -421,7 +409,7 @@ class RefinementEngine:
         return pairs
 
     def splitting_procedure(self, s_list: Sequence[int]) -> None:
-        """Split w.r.t. ``s_list``, then repair the counter tables and
+        """Split w.r.t. ``s_list``, then repair the pending sets and
         local bottoms.  Each new block starts with its parent's
         up-set and joins every up-set holding the parent, so every
         state's candidate set is unchanged."""
@@ -430,32 +418,26 @@ class RefinementEngine:
         self.blocks_created += 2 * len(pairs)
 
     def update(self, pairs: Sequence[tuple[int, int]]) -> None:
-        """Repair the hit sets, the pending sets and the local bottoms of
-        both parts of each split parent.  Candidate sets are unchanged,
-        so the counters each new block copied from its parent stay
-        right, the parent's bottom states redistribute between the
-        parts, and no pair's status changes (see ``find_refiner``).  A
-        split costs the parent's edges.  The hit sets are repaired for
-        every pair before any is read.  ``pairs`` are the ``(parent, new
-        block)`` pairs of ``split``."""
-        blocks, bo, hit, pending = self.blocks, self.block_of, self.hit, self.pending
+        """Repair the pending sets and the local bottoms of both parts of
+        each split parent.  Candidate sets are unchanged, so the
+        counters each new block copied from its parent stay right, the
+        parent's bottom states redistribute between the parts, and no
+        pair's status changes (see ``find_refiner``).  Every new block
+        joins the sets holding its parent before the parts' own sets drop
+        the blocks that no longer hit them, the parent among them.
+        ``pairs`` are the ``(parent, new block)`` pairs of ``split``."""
+        blocks, bo, pending = self.blocks, self.block_of, self.pending
         for p, i in pairs:
-            hit[p], hit[i] = self._hit(p), self._hit(i)
-            into_i = self._targets(i)
-            for c in into_i:
-                hit[c].add(i)
+            for c in self._targets(i):
                 if p in pending.get(c, ()):
                     pending[c].add(i)
-            for c in into_i - self._targets(p):
-                hit[c].discard(p)
             old = blocks[p].local_bottoms
             blocks[p].local_bottoms = [x for x in old if bo[x] == p]
             blocks[i].local_bottoms = [x for x in old if bo[x] == i]
-        for p, i in pairs:
-            for c in (p, i):
-                kept = hit[c].intersection(pending.get(c, ()))
-                if kept:
-                    pending[c] = kept
+        for c in pending.keys() & {c for pair in pairs for c in pair}:
+            kept = self._hit(c) & pending[c]
+            if kept:
+                pending[c] = kept
 
     def refine(self, s_list: Sequence[int]) -> None:
         """Prune the relation against a splitter that is now a union of
@@ -494,7 +476,7 @@ class RefinementEngine:
                             gained = True
                             if bx == b:
                                 lb.append(x)
-            self._mark(b, self.hit[b] - row)
+            self._mark(b, self._hit(b) - row)
             if gained:
                 for c in self._targets(b):
                     if b not in up[c]:

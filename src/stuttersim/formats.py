@@ -7,8 +7,8 @@ Model grammar, one directive per line with ``#`` comments:
     transitions <M>
     <src> <dst>               (exactly M lines)
 
-Ids are decimal, atoms match ``[A-Za-z_][A-Za-z0-9_]*``.  Serialization
-is canonical: labels by state id with atoms sorted, transitions sorted.
+Ids and counts are ASCII decimals; atoms match ``[A-Za-z_][A-Za-z0-9_]*``.
+Serialization is canonical: labels by id, atoms and transitions sorted.
 """
 
 from __future__ import annotations
@@ -48,13 +48,27 @@ def _error(text: str, message: str, i: int, index: int | None = 0) -> ParseError
     return ParseError(message, lineno, 1 if index is None else starts[index] + 1)
 
 
+def _decimal(token: str) -> int:
+    """``int`` of an ASCII decimal, ``-`` allowed; ValueError for the
+    ``+1``, ``1_0`` and non-ASCII digits that ``int`` also reads."""
+    if token.isascii() and token.lstrip("-").isdigit():
+        return int(token)
+    raise ValueError(token)
+
+
+def _reader(text: str):
+    """``int``, at C speed, if ``text`` has no ``+``, ``_`` or non-ASCII
+    character, as then it reads only ASCII decimals; else ``_decimal``."""
+    return _decimal if "+" in text or "_" in text or not text.isascii() else int
+
+
 def _count(text: str, lines: list[str], i: int, usage: str, noun: str) -> int:
     """The count on header line ``lines[i]``, which has the form ``usage``."""
     tokens = lines[i].split()
     if len(tokens) != 2 or tokens[0] != usage.split()[0]:
         raise _error(text, f"expected '{usage}'", i)
     try:
-        count = int(tokens[1])
+        count = _decimal(tokens[1])
     except ValueError:
         message = f"expected a {noun} count, got {tokens[1]!r}"
         raise _error(text, message, i, 1) from None
@@ -69,10 +83,11 @@ def _pairs(
     """The successor lists of the '<id> <id>' lines ``lines[first:stop]``,
     ids in ``range(n)``: one test per line, and a failing line diagnosed."""
     succ: list[list[int]] = [[] for _ in range(n)]
+    read = _reader(text)
     for i, line in enumerate(lines[first:stop], first):
         try:
             u, v = line.split()
-            s, t = int(u), int(v)
+            s, t = read(u), read(v)
         except ValueError:
             s = t = -1
         if not (0 <= s < n and 0 <= t < n):
@@ -88,10 +103,10 @@ def _id_error(
     text: str, i: int, tokens: list[str], ids: range, n: int
 ) -> ParseError | None:
     """The first error among the state ids ``tokens[j]``, ``j`` in ``ids``,
-    of line ``lines[i]``: a token that is no integer, then one out of range."""
+    of line ``lines[i]``: a token that is no decimal, then one out of range."""
     for j in ids:
         try:
-            int(tokens[j])
+            _decimal(tokens[j])
         except ValueError:
             return _error(text, f"expected a state id, got {tokens[j]!r}", i, j)
     for j in ids:
@@ -116,10 +131,11 @@ def parse_ks(text: str) -> KripkeStructure:
     labels = [None] * n if n < len(lines) else defaultdict(lambda: None)
     by_text: dict[str, frozenset[str]] = {}  # atom text -> its label
     shared: dict[frozenset[str], frozenset[str]] = {}
+    read = _reader(text)
     for i, line in enumerate(lines[1 : n + 1], 1):
         head = line.split(None, 2)
         try:
-            s = int(head[1])
+            s = read(head[1])
             ok = head[0] == "label" and 0 <= s < n and labels[s] is None
         except (IndexError, ValueError):
             ok = False

@@ -260,7 +260,9 @@ class SimulationResult:
         )
 
     def related(self, x: int, y: int) -> bool:
-        """True iff ``y`` stuttering-simulates ``x``."""
+        """True iff ``y`` stuttering-simulates ``x``, both in ``range(n)``."""
+        if not (0 <= x < len(self.block_of) and 0 <= y < len(self.block_of)):
+            raise IndexError(f"state pair ({x}, {y}) out of range")
         return (self.block_of[x], self.block_of[y]) in self.preorder
 
     def state_pairs(self) -> StatePairs:

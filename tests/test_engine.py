@@ -195,14 +195,14 @@ def test_find_refiner_drains_the_worklist(f1):
     # that is cleared leaves the worklist and the pending sets.
     e = RefinementEngine(f1)
     visits = []
+    hit = e._hit
 
-    class Counted(list):
-        def __getitem__(self, c):
-            visits.append(c)
-            assert len(visits) <= len(e.blocks), "a cleared target was visited again"
-            return super().__getitem__(c)
+    def counted(c):
+        visits.append(c)
+        assert len(visits) <= len(e.blocks), "a cleared target was visited again"
+        return hit(c)
 
-    e.hit = Counted(e.hit)
+    e._hit = counted
     assert e.find_refiner() is None
     assert visits == block_order(e)
     assert e.marked == [] and e.pending == {}
@@ -270,7 +270,7 @@ def test_update_f2_bookkeeping(f2):
     assert e.blocks[parent].local_bottoms == [3]
     # Only the new part steps into b_r; its pair keeps the parent's
     # status, and it joined b_r's pending set as the parent's copy.
-    assert e.hit[b_r] == {new}
+    assert _hit_blocks(e, b_r) == {new}
     assert _is_refiner_by_states(e, new, b_r) and new in e.pending[b_r]
     assert (e.blocks[b_r].begin, b_r) in e.marked
     for x in range(5):
@@ -304,7 +304,7 @@ def test_update_keeps_pairs_below_a_lost_block_pending():
     e.splitting_procedure([0])
     new = e.block_of[0]
     assert e.pending == {below: {low}, above: {parent, new}}
-    assert e.hit[above] == {new} and _is_refiner_by_states(e, new, above)
+    assert _hit_blocks(e, above) == {new} and _is_refiner_by_states(e, new, above)
     assert sorted(e.marked) == sorted((e.blocks[c].begin, c) for c in (below, above))
 
 
@@ -349,6 +349,16 @@ def test_run_f2(f2):
     assert result.strict_block_pairs() == [(3, 0)]
     assert result.related(3, 0) and not result.related(0, 3)
     assert result.related(1, 4) and result.related(4, 1)
+
+
+def test_related_rejects_ids_outside_the_states(f2):
+    # A negative id would index from the end; it names no state, as it
+    # names none in the pair view.
+    result = compute_preorder(f2)
+    for x, y in [(-1, 0), (0, -1), (-5, -5), (5, 0), (0, 5)]:
+        with pytest.raises(IndexError):
+            result.related(x, y)
+        assert (x, y) not in result.state_pairs()
 
 
 def test_run_single_state_self_loop():
@@ -444,6 +454,11 @@ def _first_refiner(e: RefinementEngine) -> tuple[int, int] | None:
 
 def _hits(e: RefinementEngine, b: int, c: int) -> bool:
     return any(e.block_of[y] == c for x in e.members(b) for y in e.k.successors[x])
+
+
+def _hit_blocks(e: RefinementEngine, c: int) -> set[int]:
+    """The blocks with a member stepping into ``c``, by ``_hits``."""
+    return {b for b in block_order(e) if _hits(e, b, c)}
 
 
 def _is_refiner_by_states(e: RefinementEngine, b: int, c: int) -> bool:
@@ -601,6 +616,21 @@ def test_sparse_300_tables_hold_only_nonzero_entries():
     assert sum(map(len, e.down)) == sum(map(len, e.up))
 
 
+def test_sparse_300_pending_sets_stay_trimmed():
+    # ``update`` drops from each split target's pending set the blocks
+    # that no longer hit it; without that trim the sets peak at 2,147
+    # entries on this run.
+    e = RefinementEngine(generate_random_ks(7, 300, 2 / 300, 4))
+    peak = 0
+
+    def sample(*_):
+        nonlocal peak
+        peak = max(peak, sum(map(len, e.pending.values())))
+
+    e.run(sample)
+    assert peak == 356
+
+
 def test_split_walks_no_block_list():
     # A split touches the up-sets below its parent and the down-sets
     # above it; walking every block's row would cost O(blocks) per split.
@@ -610,7 +640,6 @@ def test_split_walks_no_block_list():
 
     e = RefinementEngine(generate_random_ks(7, 300, 2 / 300, 4))
     e.up, e.down, e.blocks = NoWalk(e.up), NoWalk(e.down), NoWalk(e.blocks)
-    e.hit = NoWalk(e.hit)
     stats = e.run().stats
     assert (stats.iterations, stats.blocks_created, stats.final_blocks) == (410, 450, 229)
     assert (stats.targets_visited, stats.pairs_tested) == (760, 1277)

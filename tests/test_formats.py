@@ -78,7 +78,7 @@ def test_round_trip_random(seed):
 
 
 _TOKENS = ["0", "1", "7", "-1", "x", "9p", "p", "states", "label", "transitions",
-           "#", "\u3000", "100000000000000"]
+           "#", "\u3000", "100000000000000", "+", "_", "\uff11"]
 
 
 def _mutate(rng, text):
@@ -148,6 +148,17 @@ def test_parse_shares_equal_labels():
     )
     assert k.labels[0] == {"p", "q"}
     assert len({id(label) for label in k.labels}) == 1
+
+
+def test_ids_read_alike_on_both_paths():
+    """A text holding ``+``, ``_`` or a non-ASCII character has its ids
+    read one check at a time; they read as they do in a text without."""
+    text = "states 3\nlabel 0 p\nlabel 01 q\nlabel 2\ntransitions 2\n0 002\n1 0\n"
+    k = parse_ks(text)
+    assert k.successors == [[2], [0], []]
+    for variant in (text.replace(" p\n", " p_r\n"), "# \u00e9\n" + text):
+        assert parse_ks(variant).successors == k.successors
+    assert parse_relation("01 2\n2 00  # +\n", k) == {(1, 2), (2, 0)}
 
 
 def test_parse_dangling_transition_id():
@@ -395,6 +406,25 @@ _HEAD5 = "states 5\n" + "".join(f"label {s}\n" for s in range(5))
         ("0 1\n\u3000\n\x0c\n2 x\n", 3, "expected a state id, got 'x'", 5, 3),
         ("\u3000\n0 1\x850 0\u2028 3 0\n", 3, "dangling state id 3", 4, 2),
         ("0 1\x85\u2028\x0c1 3\n", 3, "dangling state id 3", 4, 3),
+        # Ids and counts are ASCII decimals: the '+', '_' and non-ASCII
+        # digits that int() also reads are errors; '-' keeps its messages.
+        ("states +1\n", None, "expected a state count, got '+1'", 1, 8),
+        ("states \uff11\n", None, "expected a state count, got '\uff11'", 1, 8),
+        (_HEAD + "transitions 1_0\n", None,
+         "expected a transition count, got '1_0'", 3, 13),
+        ("states 2\nlabel 0 p\nlabel +1 q\ntransitions 0\n", None,
+         "expected a state id, got '+1'", 3, 7),
+        ("states 2\nlabel \uff11 p\nlabel 1 q\ntransitions 0\n", None,
+         "expected a state id, got '\uff11'", 2, 7),
+        ("states 11\nlabel 1_0 p\n", None, "expected a state id, got '1_0'", 2, 7),
+        ("states 2\nlabel 0 p_q\nlabel -1 q\n", None, "dangling state id -1", 3, 7),
+        (_HEAD5 + "transitions 1\n0 +4\n", None, "expected a state id, got '+4'", 8, 3),
+        (_HEAD5 + "transitions 1\n\u0663 0\n", None,
+         "expected a state id, got '\u0663'", 8, 1),
+        (_HEAD + "transitions 1\n0 -1 # \u00e9\n", None, "dangling state id -1", 4, 3),
+        ("0 1\n+2 0\n", 3, "expected a state id, got '+2'", 2, 1),
+        ("0 0_1\n", 3, "expected a state id, got '0_1'", 1, 3),
+        ("\uff11 0\n", 3, "expected a state id, got '\uff11'", 1, 1),
     ],
 )
 def test_parse_error_positions(text, relation_states, message, line, column):
