@@ -56,9 +56,11 @@ def _decimal(token: str) -> int:
     raise ValueError(token)
 
 
-def _reader(text: str):
-    """``int``, at C speed, if ``text`` has no ``+``, ``_`` or non-ASCII
-    character, as then it reads only ASCII decimals; else ``_decimal``."""
+def _reader(lines: list[str]):
+    """``int``, at C speed, if the id lines ``lines`` hold no ``+``, ``_``
+    or non-ASCII character, as then it reads only ASCII decimals; else
+    ``_decimal``.  Atoms and comments are not scanned."""
+    text = "".join(lines)
     return _decimal if "+" in text or "_" in text or not text.isascii() else int
 
 
@@ -83,8 +85,9 @@ def _pairs(
     """The successor lists of the '<id> <id>' lines ``lines[first:stop]``,
     ids in ``range(n)``: one test per line, and a failing line diagnosed."""
     succ: list[list[int]] = [[] for _ in range(n)]
-    read = _reader(text)
-    for i, line in enumerate(lines[first:stop], first):
+    block = lines[first:stop]
+    read = _reader(block)
+    for i, line in enumerate(block, first):
         try:
             u, v = line.split()
             s, t = read(u), read(v)
@@ -131,11 +134,11 @@ def parse_ks(text: str) -> KripkeStructure:
     labels = [None] * n if n < len(lines) else defaultdict(lambda: None)
     by_text: dict[str, frozenset[str]] = {}  # atom text -> its label
     shared: dict[frozenset[str], frozenset[str]] = {}
-    read = _reader(text)
     for i, line in enumerate(lines[1 : n + 1], 1):
         head = line.split(None, 2)
         try:
-            s = read(head[1])
+            t = head[1]  # a label line's atoms may hold '_': test the id alone
+            s = int(t) if t.isdigit() and t.isascii() else _decimal(t)
             ok = head[0] == "label" and 0 <= s < n and labels[s] is None
         except (IndexError, ValueError):
             ok = False
