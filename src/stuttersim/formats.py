@@ -56,14 +56,6 @@ def _decimal(token: str) -> int:
     raise ValueError(token)
 
 
-def _reader(lines: list[str]):
-    """``int``, at C speed, if the id lines ``lines`` hold no ``+``, ``_``
-    or non-ASCII character, as then it reads only ASCII decimals; else
-    ``_decimal``.  Atoms and comments are not scanned."""
-    text = "".join(lines)
-    return _decimal if "+" in text or "_" in text or not text.isascii() else int
-
-
 def _count(text: str, lines: list[str], i: int, usage: str, noun: str) -> int:
     """The count on header line ``lines[i]``, which has the form ``usage``."""
     tokens = lines[i].split()
@@ -83,10 +75,14 @@ def _pairs(
     text: str, lines: list[str], first: int, stop: int, n: int, shape: str
 ) -> list[list[int]]:
     """The successor lists of the '<id> <id>' lines ``lines[first:stop]``,
-    ids in ``range(n)``: one test per line, and a failing line diagnosed."""
+    ids in ``range(n)``: one test per line, and a failing line diagnosed.
+    Ids are read by ``int``, at C speed, unless the lines hold a ``+``, a
+    ``_`` or a non-ASCII character, the forms ``_decimal`` rejects."""
     succ: list[list[int]] = [[] for _ in range(n)]
     block = lines[first:stop]
-    read = _reader(block)
+    ids = "".join(block)
+    read = _decimal if "+" in ids or "_" in ids or not ids.isascii() else int
+    del ids
     for i, line in enumerate(block, first):
         try:
             u, v = line.split()

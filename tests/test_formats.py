@@ -150,16 +150,18 @@ def test_parse_shares_equal_labels():
     assert len({id(label) for label in k.labels}) == 1
 
 
-def test_ids_read_alike_on_both_paths():
+def test_ids_read_alike_on_both_paths(monkeypatch):
     """Id lines holding ``+``, ``_`` or a non-ASCII character have their
     ids read one check at a time; they read as they do in lines without."""
     text = "states 3\nlabel 0 p\nlabel 01 q\nlabel 2\ntransitions 2\n0 002\n1 0\n"
     k = parse_ks(text)
     assert k.successors == [[2], [0], []]
-    variant = text.replace("1 0\n", "1\u3000 0\n")
-    assert formats._reader(formats._lines(variant)[5:]) is formats._decimal
-    assert parse_ks(variant).successors == k.successors
+    checked = []
+    decimal = formats._decimal
+    monkeypatch.setattr(formats, "_decimal", lambda t: checked.append(t) or decimal(t))
+    assert parse_ks(text.replace("1 0\n", "1\u3000 0\n")).successors == k.successors
     assert parse_relation("01 2\n2\u3000 00\n", k) == {(1, 2), (2, 0)}
+    assert checked == ["3", "2", "0", "002", "1", "0", "01", "2", "2", "00"]
 
 
 def test_atoms_and_comments_keep_the_fast_id_path(monkeypatch):
@@ -168,12 +170,7 @@ def test_atoms_and_comments_keep_the_fast_id_path(monkeypatch):
     counts are read one check at a time."""
     checked = []
     decimal = formats._decimal
-
-    def counted(token):
-        checked.append(token)
-        return decimal(token)
-
-    monkeypatch.setattr(formats, "_decimal", counted)
+    monkeypatch.setattr(formats, "_decimal", lambda t: checked.append(t) or decimal(t))
     text = ("states 3 # +\u00e9\nlabel 0 is_error\nlabel 1 p_0 q # \u00e9\n"
             "label 2\ntransitions 2\n0 2 # _+\n1 0\n")
     k = parse_ks(text)
