@@ -188,8 +188,9 @@ class RefinementEngine:
         for b, above in enumerate(up0):
             for c in above:
                 self.down[c].add(b)
-        # Nonzero entries only: count[c][x] = |succ(x) & image(c)|.
-        self.count: list[dict[int, int]] = [{} for _ in range(m)]
+        # Nonzero entries only: count[c][x] = |succ(x) & image(c)|.  No
+        # table is edited in place, so split siblings share theirs.
+        self.count: list[dict[int, int]] = []
         # pending[c]: the hit blocks of c (``_hit``) that may form a refiner
         # pair with it (``find_refiner``), at first all; no entry if none.
         # ``marked``: a heap of one (key <= begin, c) per pending target.
@@ -217,9 +218,10 @@ class RefinementEngine:
 
     def _new_block(self, parent: int, begin: int, end: int) -> int:
         """Allocate a block that starts as a copy of ``parent``: related
-        to and from what the parent is, with the parent's counter column
-        and, as a target, its pending set (``update`` adds it as a hit
-        block).  Only the sets of the blocks related to the parent change."""
+        to and from what the parent is, sharing its counter table, and as
+        a target with a copy of its pending set (``update`` adds it as a
+        hit block).  Only the sets of the blocks related to the parent
+        change."""
         bid = len(self.blocks)
         up, down = self.up, self.down
         for d in down[parent]:
@@ -228,7 +230,7 @@ class RefinementEngine:
         down.append(set(down[parent]))
         for c in up[bid]:
             down[c].add(bid)
-        self.count.append(dict(self.count[parent]))
+        self.count.append(self.count[parent])
         self.blocks.append(_Block(begin, end))
         if parent in self.pending:
             self.pending[bid] = set(self.pending[parent])
@@ -247,13 +249,20 @@ class RefinementEngine:
         todo.update(hit_blocks)
 
     def _init_counters(self) -> None:
-        pred = self.k.predecessors
         for c, blk in enumerate(self.blocks):
-            self.count[c] = col = {}
-            for y in self.image(c):
+            self.count.append(col := self._counter(c))
+            blk.local_bottoms = [x for x in self.members(c) if x not in col]
+
+    def _counter(self, b: int) -> dict[int, int]:
+        """A new ``count[b]``, counted off the in-edges of ``up[b]``'s
+        blocks in any order."""
+        pred = self.k.predecessors
+        col: dict[int, int] = {}
+        for c in self.up[b]:
+            for y in self.members(c):
                 for x in pred[y]:
                     col[x] = col.get(x, 0) + 1
-            blk.local_bottoms = [x for x in self.members(c) if x not in col]
+        return col
 
     # -- queries ------------------------------------------------------------
 
@@ -328,14 +337,13 @@ class RefinementEngine:
         has no refiner pair with the target, because each write that can
         give it one adds the block where the write happens:
 
-        - ``refine`` deleting a key of ``count[b]`` whose block stays in
-          ``up[b]`` gives ``b``'s candidate set a new bottom state: it
-          adds ``b`` for every target ``b`` steps into;
-        - ``refine`` pruning ``up[c]`` and deleting keys of ``count[c]``
-          can take any state out of ``c``'s image or out of its
+        - ``refine`` rebuilding ``count[b]`` without a key whose block
+          stays in ``up[b]`` gives ``b``'s candidate set a new bottom
+          state: it adds ``b`` for every target ``b`` steps into;
+        - ``refine`` pruning ``up[c]`` and rebuilding ``count[c]`` can
+          take any state out of ``c``'s image or out of its
           predecessors: it adds every hit block of ``c`` (naming the
-          blocks of the deleted keys costs more than the tests it
-          saves).
+          blocks of the lost keys costs more than the tests it saves).
 
         A block above its target never forms a pair, so no site adds
         one.  A split keeps every state's candidate set and counters, so
@@ -419,8 +427,8 @@ class RefinementEngine:
 
     def update(self, pairs: Sequence[tuple[int, int]]) -> None:
         """Repair the pending sets and the local bottoms of both parts of
-        each split parent.  Candidate sets are unchanged, so the
-        counters each new block copied from its parent stay right, the
+        each split parent.  Candidate sets are unchanged, so the counter
+        table each new block shares with its parent stays right, the
         parent's bottom states redistribute between the parts, and no
         pair's status changes (see ``find_refiner``).  Every new block
         joins the sets holding its parent before the parts' own sets drop
@@ -442,47 +450,38 @@ class RefinementEngine:
     def refine(self, s_list: Sequence[int]) -> None:
         """Prune the relation against a splitter that is now a union of
         blocks: a block inside the splitter keeps only its in-splitter
-        superiors.  Counters are decremented per removed transition
-        target; one that hits zero loses its entry.  Its state, if its
-        block is still related above, is a new bottom state of the
-        pruned block's candidate set: it joins that block's local bottoms
-        if it sits there, and the block is marked for every target it
-        steps into.  The pruned block, as a target, is marked for all
-        its hit blocks (see ``find_refiner``)."""
+        superiors and gets a new counter table from them (a split sibling
+        may share the old one).  An old key missing from it, if its block
+        is still related above, is a new bottom state of the pruned
+        block's candidate set: it joins that block's local bottoms if it
+        sits there, and the block is marked for every target it steps
+        into.  The pruned block, as a target, is marked for all its hit
+        blocks (see ``find_refiner``)."""
         bo = self.block_of
         splitter_blocks = {bo[x] for x in s_list}
-        up, down, count, pred = self.up, self.down, self.count, self.k.predecessors
+        up, down, count = self.up, self.down, self.count
         for b in splitter_blocks:
             row = up[b]
             pruned = row - splitter_blocks
             if not pruned:
                 continue
-            # Pruned before the counters fall, for the gain test below.
             # set() of a set sizes its table to the entries, unlike a set
             # pruned entry by entry.
             up[b] = row = set(row & splitter_blocks)
-            col, lb = count[b], self.blocks[b].local_bottoms
-            gained = False
             for c in pruned:
                 down[c].discard(b)
-                for y in self.members(c):
-                    for x in pred[y]:
-                        if col[x] > 1:
-                            col[x] -= 1
-                            continue
-                        del col[x]
-                        bx = bo[x]
-                        if bx in row:
-                            gained = True
-                            if bx == b:
-                                lb.append(x)
+            old = count[b]
+            count[b] = new = self._counter(b)
+            # The image only shrank, so equal sizes mean equal keys.
+            gained = len(new) < len(old) and [
+                x for c in row for x in self.members(c) if x in old and x not in new
+            ]
             self._mark(b, self._hit(b) - row)
             if gained:
+                self.blocks[b].local_bottoms += [x for x in gained if bo[x] == b]
                 for c in self._targets(b):
                     if b not in up[c]:
                         self._mark(c, (b,))
-            # A dict keeps its size when keys are deleted; rebuild.
-            count[b] = dict(col)
 
     # -- main loop ----------------------------------------------------------
 

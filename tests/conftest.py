@@ -78,6 +78,22 @@ def stutter_chain(length: int) -> KripkeStructure:
     return KripkeStructure(length + 3, chain + [(solo, r_sink)], labels)
 
 
+def peel(n: int) -> KripkeStructure:
+    """An a-state with no successors, and for each i in 1..n an a-state
+    into a b-state into a c/d-alternating chain of i states that ends in
+    a deadlock.
+
+    The chains tell the a-states apart one length at a time, so each
+    pruning keeps most of a large up-set.
+    """
+    labels, edges = [["a"]], []
+    for i in range(1, n + 1):
+        first = len(labels)
+        labels += [["a"], ["b"]] + [[("c", "d")[j % 2]] for j in range(i)]
+        edges += [(s, s + 1) for s in range(first, first + i + 1)]
+    return KripkeStructure(len(labels), edges, labels)
+
+
 def reachable(
     successors: list[list[int]], group: list[int], v: int
 ) -> set[int]:

@@ -21,7 +21,7 @@ from stuttersim import (
 from stuttersim.invariants import current_state_pairs
 from stuttersim.reference import largest_simulation_within
 
-from conftest import block_order, pairs_of, random_preorder
+from conftest import block_order, pairs_of, peel, random_preorder
 
 P4_BLOCKS = [[0, 1], [2, 3], [4, 5], [6, 7], [8, 9]]
 P4_PAIRS = [(i, i) for i in range(5)] + [(0, 1), (0, 3), (2, 3), (4, 3)]
@@ -168,8 +168,8 @@ def _assert_pos_ordered_matches_naive(e: RefinementEngine) -> None:
 @pytest.mark.parametrize("seed", range(40))
 def test_pos_ordered_matches_naive(seed):
     """Every block pair, at init and after each main-loop step, so the
-    seeds are read from counter columns that splits copied and
-    ``refine`` decremented."""
+    seeds are read from counter tables that splits shared and
+    ``refine`` rebuilt."""
     k = generate_random_ks(9000 + seed, 2 + seed % 8, 0.35, 1 + seed % 3)
     e = RefinementEngine(k)
     _assert_pos_ordered_matches_naive(e)
@@ -273,8 +273,8 @@ def test_update_f2_bookkeeping(f2):
     assert _hit_blocks(e, b_r) == {new}
     assert _is_refiner_by_states(e, new, b_r) and new in e.pending[b_r]
     assert (e.blocks[b_r].begin, b_r) in e.marked
-    for x in range(5):
-        assert e.count[new].get(x, 0) == e.count[parent].get(x, 0)
+    # No table is edited in place, so the new part shares its parent's.
+    assert e.count[new] is e.count[parent]
     # sibling halves hold each other's bottom states
     assert _blocks_holding_bottoms(e, new) == {parent}
     assert _blocks_holding_bottoms(e, parent) == {new}
@@ -406,7 +406,7 @@ def test_run_debug_invariants(seed):
         k = generate_random_ks(12_000 + seed, 2 + seed % 12, 0.3, 1 + seed % 4)
     else:
         # Sparse models of 40-58 states: one splitter splits several
-        # parents, and counter columns are copied while still large.
+        # parents, and counter tables are shared while still large.
         n = 40 + 2 * (seed - 25)
         k = generate_random_ks(seed, n, 2 / n, 4)
     compute_preorder(k, debug=True)
@@ -672,6 +672,42 @@ def test_refine_leaves_pruned_rows_compact():
     e.refine = checked_refine
     e.run()
     assert pruned
+
+
+def test_refine_replaces_shared_tables_without_editing_them():
+    # Split siblings share one counter table, so ``refine`` must give a
+    # pruned block a new table and leave the old one as it was.
+    e = RefinementEngine(generate_random_ks(7, 300, 2 / 300, 4))
+    refine, replaced_shared = e.refine, 0
+
+    def checked_refine(s_list):
+        nonlocal replaced_shared
+        before = list(e.count)
+        copies = {id(t): dict(t) for t in before}
+        refine(s_list)
+        for t in e.count:
+            if id(t) in copies:
+                assert t == copies[id(t)]
+        kept = {id(t) for t in e.count}
+        replaced_shared += any(
+            t is not e.count[b] and id(t) in kept for b, t in enumerate(before)
+        )
+
+    e.refine = checked_refine
+    e.run()
+    assert replaced_shared
+
+
+@pytest.mark.parametrize(
+    ("n", "states", "iterations"), [(8, 53, 28), (12, 103, 44), (16, 169, 60)]
+)
+def test_peel_matches_oracle(n, states, iterations):
+    # Each pruning keeps most of a large up-set, so the new counter
+    # table is nearly as large as the one it replaces.
+    k = peel(n)
+    result = compute_preorder(k, debug=True)
+    assert (k.num_states, result.stats.iterations) == (states, iterations)
+    assert result.state_pairs() == naive_stuttering_simulation(k)
 
 
 @pytest.mark.parametrize("i", range(10))
