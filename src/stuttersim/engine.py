@@ -113,7 +113,7 @@ def _combined_block_order(
             "candidate relation orders blocks against the same-label "
             "transition topology; no valid list ordering exists"
         )
-    return out
+    return list(out)
 
 
 class RefinementEngine:
@@ -148,9 +148,12 @@ class RefinementEngine:
             up0 = [{i} for i in range(len(label_id))]
         else:
             block_of0, up0 = _validate_candidate(k, candidate[0], candidate[1])
-        # One least-first Kahn serves the collapse and, when nothing
-        # collapses, the state sort: it reads the grouping only through
-        # equality, and the sort's classes are this same partition.
+        # One least-first topological order serves the collapse and,
+        # when nothing collapses, the state sort: it reads the grouping
+        # only through equality, and the sort's classes are this same
+        # partition.  When the ids already order every in-block edge it
+        # is the identity, and the state list is the ascending block
+        # member lists laid end to end.
         topo = topological_order(k.successors, block_of0)
         self.k, self.collapse = collapse_inert_sccs(k, block_of0, topo)
         m = len(up0)
@@ -197,11 +200,13 @@ class RefinementEngine:
         self.pending: dict[int, set[int]] = {c: hs for c in range(m) if (hs := self._hit(c))}
         self.marked = sorted((self.blocks[c].begin, c) for c in self.pending)
 
-        self._init_counters()
         self.iterations = 0
         self.blocks_created = 0
         self.targets_visited = 0
         self.pairs_tested = 0
+        self.states_scanned = 0
+        self.edges_counted = 0
+        self._init_counters()
         self.initial_blocks = m
         # Debug mode loads its checks only when asked for.
         self.checks = None
@@ -262,6 +267,7 @@ class RefinementEngine:
             for y in self.members(c):
                 for x in pred[y]:
                     col[x] = col.get(x, 0) + 1
+        self.edges_counted += sum(col.values())
         return col
 
     # -- queries ------------------------------------------------------------
@@ -288,19 +294,25 @@ class RefinementEngine:
         """Members of ``s_list`` reaching ``image(c)`` through ``s_list``.
 
         One backward scan; requires ``s_list`` to be a same-label
-        sublist of the state list.  The seeds come from the tables: the
-        members of ``s_list`` in ``image(c)`` (block above ``c``) or
-        stepping into it (an entry of ``count[c]``).  A found state adds
-        all its predecessors; the scan never visits those outside
-        ``s_list``, and the result, a sublist of ``s_list``, drops them.
+        sublist of the state list.  A state joins the result when the
+        tables seed it, as in ``image(c)`` (block above ``c``) or
+        stepping into it (a key of ``count[c]``), or when it is a
+        predecessor of a state that joined; a joining state adds its
+        predecessors to the found set.  A same-label predecessor lies
+        earlier in the state list, so the scan reaches it after the
+        state it precedes; one outside ``s_list`` is never scanned.  The
+        result, collected backward, is reversed at the end.
         """
         pred, bo = self.k.predecessors, self.block_of
         col, above = self.count[c], self.up[c]
-        found = {x for x in s_list if x in col or bo[x] in above}
+        self.states_scanned += len(s_list)
+        found: set[int] = set()
+        result: list[int] = []
         for y in reversed(s_list):
-            if y in found:
+            if y in found or y in col or bo[y] in above:
+                result.append(y)
                 found.update(pred[y])
-        result = [s for s in s_list if s in found]
+        result.reverse()
         if self.checks:
             self.checks.pos_ordered(s_list, c, result)
         return result
@@ -451,13 +463,15 @@ class RefinementEngine:
         """Prune the relation against a splitter that is now a union of
         blocks: a block inside the splitter keeps only its in-splitter
         superiors and gets a new counter table from them (a split sibling
-        may share the old one).  An old key missing from it, if its block
-        is still related above, is a new bottom state of the pruned
+        may share the old one).  When no member of the blocks pruned from
+        its up-set has a predecessor, its image loses no counted edge, and
+        it keeps its table.  An old key missing from the new table, if its
+        block is still related above, is a new bottom state of the pruned
         block's candidate set: it joins that block's local bottoms if it
         sits there, and the block is marked for every target it steps
         into.  The pruned block, as a target, is marked for all its hit
         blocks (see ``find_refiner``)."""
-        bo = self.block_of
+        bo, pred = self.block_of, self.k.predecessors
         splitter_blocks = {bo[x] for x in s_list}
         up, down, count = self.up, self.down, self.count
         for b in splitter_blocks:
@@ -470,8 +484,9 @@ class RefinementEngine:
             up[b] = row = set(row & splitter_blocks)
             for c in pruned:
                 down[c].discard(b)
-            old = count[b]
-            count[b] = new = self._counter(b)
+            old = new = count[b]
+            if any(pred[y] for c in pruned for y in self.members(c)):
+                count[b] = new = self._counter(b)
             # The image only shrank, so equal sizes mean equal keys.
             gained = len(new) < len(old) and [
                 x for c in row for x in self.members(c) if x in old and x not in new
@@ -524,6 +539,8 @@ class RefinementEngine:
             final_blocks=len(self.blocks),
             targets_visited=self.targets_visited,
             pairs_tested=self.pairs_tested,
+            states_scanned=self.states_scanned,
+            edges_counted=self.edges_counted,
         )
         return SimulationResult(blocks, frozenset(preorder), block_of, stats)
 

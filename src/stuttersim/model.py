@@ -211,7 +211,10 @@ class RunStats(NamedTuple):
     scanned, over all its calls: those with a non-empty pending set.
     ``pairs_tested`` counts the pending (hit block, target) pairs whose
     bottom-state condition it evaluated, the hit block not above the
-    target.
+    target.  ``states_scanned`` is the summed length of the source lists
+    that the reachability step walked, and ``edges_counted`` the number
+    of in-edges read to build counter tables, at init and when a pruning
+    rebuilds one.
     """
 
     iterations: int
@@ -220,6 +223,8 @@ class RunStats(NamedTuple):
     final_blocks: int
     targets_visited: int
     pairs_tested: int
+    states_scanned: int
+    edges_counted: int
 
 
 class SimulationResult:

@@ -9,7 +9,7 @@ order of the block preorder.  Everything here is a pure function.
 from __future__ import annotations
 
 from heapq import heappop, heappush
-from itertools import groupby
+from itertools import chain, groupby
 from typing import Iterable, NamedTuple, Sequence
 
 from .model import KripkeStructure, ValidationError, _Successors
@@ -92,7 +92,7 @@ def strongly_connected_components(
 
 
 def collapse_inert_sccs(
-    k: KripkeStructure, block_of: Sequence[int], topo: list[int] | None = None
+    k: KripkeStructure, block_of: Sequence[int], topo: Sequence[int] | None = None
 ) -> tuple[KripkeStructure, CollapseMap]:
     """Collapse every SCC of inert transitions to a single state.
 
@@ -126,11 +126,18 @@ def collapse_inert_sccs(
 
 def topological_order(
     successors: Sequence[Iterable[int]], group: Sequence[int]
-) -> list[int]:
+) -> Sequence[int]:
     """Least-first topological order of the subgraph of edges whose two
     ends share a group (Kahn's algorithm, always emitting the least
     ready node).  A node on a cycle, or after one, is left out.
+
+    When every such edge goes from a lower id to a higher one, the
+    order is the identity and comes back as ``range(n)``, with no sort:
+    the least node not yet emitted always has its in-group predecessors,
+    all lower, emitted.  A self-loop fails the test.
     """
+    if _ascending(successors, group):
+        return range(len(successors))
     indeg = [0] * len(successors)
     for v, succ in enumerate(successors):
         for w in succ:
@@ -149,22 +156,34 @@ def topological_order(
     return out
 
 
+def _ascending(successors: Sequence[Iterable[int]], group: Sequence[int]) -> bool:
+    """Predicate: every edge inside a group goes to a higher id."""
+    for v, succ in enumerate(successors):
+        for w in succ:
+            if w <= v and group[w] == group[v]:
+                return False
+    return True
+
+
 def sort_states_locally_topological(
     k: KripkeStructure,
     classes: Sequence[Sequence[int]],
-    topo: list[int] | None = None,
+    topo: Sequence[int] | None = None,
 ) -> list[int]:
     """Permutation of the states, contiguous per class and in class
     order, such that no transition inside a class goes backwards in the
-    list.
+    list.  Each class lists its members ascending.
 
     Only edges inside a class constrain the order, so one topological
     sort of that subgraph followed by a stable sort by class suffices.
-    Raises ValidationError if a cycle inside a class remains (the
-    structure was not collapsed first).  ``topo``, if given, is a
-    complete ``topological_order`` under a grouping with these classes,
-    and is used as the sort.
+    When ``topo`` is the identity (a ``range``), that is the classes
+    concatenated, which shares their ints.  Raises ValidationError if a
+    cycle inside a class remains (the structure was not collapsed
+    first).  ``topo``, if given, is a complete ``topological_order``
+    under a grouping with these classes, and is used as the sort.
     """
+    if isinstance(topo, range):
+        return list(chain.from_iterable(classes))
     class_of = [0] * k.num_states
     for ci, members in enumerate(classes):
         for s in members:

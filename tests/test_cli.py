@@ -144,7 +144,8 @@ def test_compute_stats(f2_file, capsys):
     assert captured.out == plain
     assert captured.err == (
         '{"iterations": 1, "blocks_created": 2, "initial_blocks": 3, '
-        '"final_blocks": 4, "targets_visited": 3, "pairs_tested": 3}\n'
+        '"final_blocks": 4, "targets_visited": 3, "pairs_tested": 3, '
+        '"states_scanned": 2, "edges_counted": 3}\n'
     )
     assert json.loads(captured.err) == {
         "iterations": 1,
@@ -153,6 +154,8 @@ def test_compute_stats(f2_file, capsys):
         "final_blocks": 4,
         "targets_visited": 3,
         "pairs_tested": 3,
+        "states_scanned": 2,
+        "edges_counted": 3,
     }
 
 

@@ -21,7 +21,7 @@ from stuttersim import (
 from stuttersim.invariants import current_state_pairs
 from stuttersim.reference import largest_simulation_within
 
-from conftest import block_order, pairs_of, peel, random_preorder
+from conftest import block_order, pairs_of, peel, random_preorder, stutter_chain
 
 P4_BLOCKS = [[0, 1], [2, 3], [4, 5], [6, 7], [8, 9]]
 P4_PAIRS = [(i, i) for i in range(5)] + [(0, 1), (0, 3), (2, 3), (4, 3)]
@@ -586,7 +586,18 @@ def test_sparse_300_pins_refiner_sequence():
     stats = result.stats
     assert (stats.iterations, stats.blocks_created, stats.final_blocks) == (410, 450, 229)
     assert (stats.targets_visited, stats.pairs_tested) == (760, 1277)
+    assert (stats.states_scanned, stats.edges_counted) == (9389, 7005)
     assert check_preorder(k, result.state_pairs()).accepted
+
+
+def test_stutter_chain_work_counters():
+    # Both iterations scan the whole p-class (3 * 10**4 + 1 states).  The
+    # tables are counted once at init, off every in-edge; the pruning
+    # that would read the chain's 29,999 in-edges again drops only the
+    # solo state, which has no predecessor, so it keeps its table.
+    stats = compute_preorder(stutter_chain(3 * 10**4)).stats
+    assert (stats.iterations, stats.final_blocks) == (2, 4)
+    assert (stats.states_scanned, stats.edges_counted) == (60_002, 30_001)
 
 
 # sha256 of the repr of the list of (b, c) refiner pairs that the trace
@@ -676,26 +687,50 @@ def test_refine_leaves_pruned_rows_compact():
 
 def test_refine_replaces_shared_tables_without_editing_them():
     # Split siblings share one counter table, so ``refine`` must give a
-    # pruned block a new table and leave the old one as it was.
-    e = RefinementEngine(generate_random_ks(7, 300, 2 / 300, 4))
-    refine, replaced_shared = e.refine, 0
+    # pruned block a new table and leave the old one as it was.  It keeps
+    # the table exactly when no member of the blocks pruned from the
+    # up-set has a predecessor: the image then loses no counted edge.
+    models = [
+        (generate_random_ks(7, 300, 2 / 300, 4), (12, 446)),
+        (stutter_chain(200), (1, 1)),
+    ]
+    for k, expected in models:
+        e = RefinementEngine(k)
+        refine, pred = e.refine, e.k.predecessors
+        kept = new = shared = 0
 
-    def checked_refine(s_list):
-        nonlocal replaced_shared
-        before = list(e.count)
-        copies = {id(t): dict(t) for t in before}
-        refine(s_list)
-        for t in e.count:
-            if id(t) in copies:
-                assert t == copies[id(t)]
-        kept = {id(t) for t in e.count}
-        replaced_shared += any(
-            t is not e.count[b] and id(t) in kept for b, t in enumerate(before)
-        )
+        def checked_refine(s_list):
+            nonlocal kept, new, shared
+            before = list(e.count)
+            copies = {id(t): dict(t) for t in before}
+            inside = {e.block_of[x] for x in s_list}
+            pruned = {b: e.up[b] - inside for b in inside}
+            refine(s_list)
+            for t in e.count:
+                if id(t) in copies:
+                    assert t == copies[id(t)]
+            for b, gone in pruned.items():
+                if gone:
+                    keeps = not any(pred[y] for c in gone for y in e.members(c))
+                    assert (e.count[b] is before[b]) == keeps
+                    kept += keeps
+                    new += not keeps
+            tables = {id(t) for t in e.count}
+            shared += any(
+                t is not e.count[b] and id(t) in tables for b, t in enumerate(before)
+            )
 
-    e.refine = checked_refine
-    e.run()
-    assert replaced_shared
+        e.refine = checked_refine
+        e.run()
+        assert (kept, new) == expected
+        assert shared
+
+
+def test_stutter_chain_debug_run():
+    # The invariants recount every table at each main-loop boundary, so
+    # a table kept through a pruning is checked against a fresh count.
+    result = compute_preorder(stutter_chain(200), debug=True)
+    assert result.stats.iterations == 2 and len(result.blocks) == 4
 
 
 @pytest.mark.parametrize(

@@ -153,9 +153,10 @@ def test_sort_states_random_property(seed):
 
 @pytest.mark.parametrize("seed", range(40))
 def test_engine_reuses_the_collapse_sort(seed, monkeypatch):
-    """When nothing collapses, the engine's one least-first Kahn serves
-    both the collapse and the state sort, with the same state list as a
-    sort of its own would give."""
+    """When nothing collapses, the engine's one least-first topological
+    order serves both the collapse and the state sort, with the same
+    state list as a sort of its own would give; on these models, with
+    same-label edges only forward, it is the identity."""
 
     def no_kahn(*args):
         raise AssertionError("a second topological sort")
@@ -174,9 +175,87 @@ def test_engine_reuses_the_collapse_sort(seed, monkeypatch):
     topo = topological_order(k.successors, block_of(k))
     expected = sort_states_locally_topological(k, [classes[b] for b in block_order(engine)])
     assert engine.state_list == expected
+    assert isinstance(topo, range)
     assert sort_states_locally_topological(k, classes, topo) == (
         sort_states_locally_topological(k, classes)
     )
+
+
+def least_first(n, successors, group):
+    """Reference order: repeatedly emit the least node whose in-group
+    predecessors are all emitted; stop when none is left."""
+    preds = [set() for _ in range(n)]
+    for v in range(n):
+        for w in successors[v]:
+            if group[w] == group[v]:
+                preds[w].add(v)
+    out, done = [], set()
+    while ready := [u for u in range(n) if u not in done and preds[u] <= done]:
+        out.append(ready[0])
+        done.add(ready[0])
+    return out
+
+
+def forward_variants(n, successors, group):
+    """The graph with its backward and looping in-group edges dropped,
+    and the graph renumbered by its reference order when that is
+    complete: both have every in-group edge going forward."""
+    forward = [
+        [w for w in succ if w > v or group[w] != group[v]]
+        for v, succ in enumerate(successors)
+    ]
+    out = [(forward, group)]
+    order = least_first(n, successors, group)
+    if len(order) == n:
+        new = {v: i for i, v in enumerate(order)}
+        renumbered = [sorted(new[w] for w in successors[v]) for v in order]
+        out.append((renumbered, [group[v] for v in order]))
+    return out
+
+
+@pytest.mark.parametrize("seed", range(60))
+def test_topological_order_is_least_first(seed):
+    """``topological_order`` is the least-first order, and it comes back
+    as the identity ``range`` exactly when every in-group edge goes
+    forward; an in-group self-loop keeps its node and the nodes after
+    it out."""
+    rng = random.Random(seed)
+    n, successors, group = random_graph(rng)
+    graphs = [(successors, group)] + forward_variants(n, successors, group)
+    loop = rng.randrange(n)
+    graphs.append(
+        ([sorted(set(s) | {v}) if v == loop else s for v, s in enumerate(successors)], group)
+    )
+    for succ, grp in graphs:
+        ascending = all(
+            w > v for v, s in enumerate(succ) for w in s if grp[w] == grp[v]
+        )
+        got = topological_order(succ, grp)
+        assert list(got) == least_first(n, succ, grp)
+        assert isinstance(got, range) == ascending
+    for succ, grp in graphs[1:-1]:
+        assert list(topological_order(succ, grp)) == list(range(n))
+    assert loop not in topological_order(*graphs[-1])
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_sort_states_on_the_identity_order(seed):
+    """On the identity order, the state list is the ascending class
+    members laid end to end, which is the stable sort by class, in
+    either class order."""
+    rng = random.Random(seed)
+    n, successors, group = random_graph(rng)
+    forward, group = forward_variants(n, successors, group)[0]
+    edges = [(v, w) for v, succ in enumerate(forward) for w in succ]
+    k = KripkeStructure(n, edges, [[f"g{g}"] for g in group])
+    topo = topological_order(k.successors, group)
+    assert isinstance(topo, range)
+    classes = labeling_partition(k)
+    for ordered in (classes, classes[::-1]):
+        class_of = {s: i for i, members in enumerate(ordered) for s in members}
+        expected = sorted(range(n), key=class_of.__getitem__)
+        assert sort_states_locally_topological(k, ordered, topo) == expected
+        assert sort_states_locally_topological(k, ordered) == expected
 
 
 @pytest.mark.parametrize("seed", range(40))
