@@ -10,6 +10,7 @@ the relation is a preorder.
 
 from __future__ import annotations
 
+from itertools import repeat
 from typing import Iterable, NamedTuple, Sequence
 
 from .model import KripkeStructure, ValidationError
@@ -78,13 +79,21 @@ def check_preorder(
     one of its members or one of their successors lies in μ(C).  The
     relation must be reflexive and transitive (NotAPreorderError
     otherwise); a related pair with different labels is rejected
-    immediately.
+    immediately.  ``pairs`` is read once, by ``_validate_relation``: the
+    ``RelationRows`` that ``parse_relation`` returns (a read-only
+    ``Set`` view, not a ``set``) by its per-state rows, any other
+    iterable pair by pair.  The label test then runs once per class, on
+    its up-set.
     """
-    rel_pairs = set(pairs)
-    blocks, block_of, mu = _validate_relation(k.num_states, rel_pairs)
-    mixed = _least_mixed_pair(k, rel_pairs)
-    if mixed is not None:
-        return CheckVerdict(False, label_witness=mixed)
+    blocks, block_of, mu = _validate_relation(k.num_states, pairs)
+    labels = k.labels
+    for members, mu_b in zip(blocks, mu):
+        # A member lies in its class's up-set, so the class relates two
+        # labels iff the up-set holds two.  The least class that does
+        # has the least mixed pair.
+        if len(set(map(labels.__getitem__, mu_b))) > 1:
+            pair = _least_mixed_pair(k, zip(repeat(members[0]), mu_b))
+            return CheckVerdict(False, label_witness=pair)
 
     succ = k.successors
     sink_cache: dict[int, list[list[int]]] = {}

@@ -485,8 +485,10 @@ class RefinementEngine:
             for c in pruned:
                 down[c].discard(b)
             old = new = count[b]
-            if any(pred[y] for c in pruned for y in self.members(c)):
-                count[b] = new = self._counter(b)
+            for c in pruned:
+                if any(map(pred.__getitem__, self.members(c))):
+                    count[b] = new = self._counter(b)
+                    break
             # The image only shrank, so equal sizes mean equal keys.
             gained = len(new) < len(old) and [
                 x for c in row for x in self.members(c) if x in old and x not in new

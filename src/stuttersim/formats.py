@@ -17,7 +17,8 @@ import random
 import re
 from collections import defaultdict
 
-from .model import KripkeStructure, SimulationResult, ValidationError, _Successors
+from .model import KripkeStructure, RelationRows, SimulationResult, ValidationError
+from .model import _Successors
 
 _ATOM_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\Z")
 
@@ -224,11 +225,17 @@ def _pair_chunks(result: SimulationResult):
         yield "".join(out)
 
 
-def parse_relation(text: str, k: KripkeStructure) -> set[tuple[int, int]]:
-    """Parse 'u v' lines into a relation in one walk; duplicates are ignored."""
+def parse_relation(text: str, k: KripkeStructure) -> RelationRows:
+    """Parse 'u v' lines into a relation in one walk; duplicates are ignored.
+
+    Returns a read-only ``collections.abc.Set`` of the pairs, not a
+    ``set``: a ``RelationRows`` holding each state's row of ``_pairs``
+    as a frozenset.  ``len`` counts distinct pairs, iteration is sorted,
+    and it equals the builtin set of the same pairs.
+    """
     lines = _lines(text)
     succ = _pairs(text, lines, 0, len(lines), k.num_states, "'<u> <v>'")
-    return {(u, v) for u, vs in enumerate(succ) for v in vs}
+    return RelationRows(list(map(frozenset, succ)))
 
 
 def generate_random_ks(

@@ -149,17 +149,22 @@ def validate_preorder(
 
     Returns the classes (elements with equal up-sets, ordered by least
     member, members ascending), each element's class and each class's
-    up-set.  Raises ValidationError for a pair out of range and
-    NotAPreorderError, with the lexicographically least witness, when
-    the pairs are not reflexive and transitive.  Transitivity is checked
-    once per class: the up-sets of the classes that ``up(c)`` meets must
-    lie inside ``up(c)``.
+    up-set, a frozenset.  Raises ValidationError for a pair out of range
+    and NotAPreorderError, with the lexicographically least witness,
+    when the pairs are not reflexive and transitive.  Transitivity is
+    checked once per class: the up-sets of the classes that ``up(c)``
+    meets must lie inside ``up(c)``.  A ``RelationRows`` on
+    ``range(size)``, as ``parse_relation`` returns, is read by its rows,
+    which are the up-sets; any other iterable is read pair by pair.
     """
-    up: list[set[int]] = [set() for _ in range(size)]
-    for s, t in pairs:
-        if not (0 <= s < size and 0 <= t < size):
-            raise ValidationError(f"relation pair ({s}, {t}) out of range")
-        up[s].add(t)
+    if type(pairs) is RelationRows and len(pairs.rows) == size:
+        up: Sequence[Set[int]] = pairs.rows
+    else:
+        up = [set() for _ in range(size)]
+        for s, t in pairs:
+            if not (0 <= s < size and 0 <= t < size):
+                raise ValidationError(f"relation pair ({s}, {t}) out of range")
+            up[s].add(t)
     for s in range(size):
         if s not in up[s]:
             raise NotAPreorderError("relation is not reflexive", (s, s))
@@ -170,7 +175,7 @@ def validate_preorder(
     for s, c in enumerate(class_of):
         classes[c].append(s)
     for c, above in enumerate(ups):
-        met = {class_of[t] for t in above}
+        met = set(map(class_of.__getitem__, above))
         if not all(ups[d] <= above for d in met):
             beyond = frozenset().union(*(ups[d] for d in met)) - above
             raise NotAPreorderError(
@@ -324,6 +329,39 @@ class StatePairs(Set):
 
     def __len__(self) -> int:
         return self._len
+
+    @classmethod
+    def _from_iterable(cls, it: Iterable[tuple[int, int]]) -> set[tuple[int, int]]:
+        return set(it)
+
+
+class RelationRows(Set):
+    """A relation on ``range(len(rows))`` as a read-only set of pairs
+    held by state: ``rows[x]`` is the frozenset of the states ``y`` with
+    ``(x, y)`` related, so no pair is held as a tuple.  ``len`` counts
+    the distinct pairs and iteration is sorted; like ``StatePairs`` it
+    has what ``collections.abc.Set`` gives and none of ``set``'s named
+    methods.  ``validate_preorder`` reads the rows of this exact type.
+    """
+
+    __slots__ = ("rows",)
+
+    def __init__(self, rows: list[frozenset[int]]):
+        self.rows = rows
+
+    def __contains__(self, pair: object) -> bool:
+        if not (isinstance(pair, tuple) and len(pair) == 2):
+            return False
+        x, y = pair
+        if not (isinstance(x, int) and isinstance(y, int) and 0 <= x < len(self.rows)):
+            return False
+        return y in self.rows[x]
+
+    def __iter__(self) -> Iterator[tuple[int, int]]:
+        return ((x, y) for x, ys in enumerate(self.rows) for y in sorted(ys))
+
+    def __len__(self) -> int:
+        return sum(map(len, self.rows))
 
     @classmethod
     def _from_iterable(cls, it: Iterable[tuple[int, int]]) -> set[tuple[int, int]]:

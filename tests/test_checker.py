@@ -10,6 +10,7 @@ from stuttersim import (
     compute_preorder,
     generate_random_ks,
     naive_stuttering_simulation,
+    parse_relation,
 )
 from stuttersim.checker import CheckVerdict, _sink_components, check_definition
 from stuttersim.reference import largest_simulation_within
@@ -240,3 +241,67 @@ def test_label_witness_is_least_mixed_pair(seed):
     assert len(mixed) >= 2
     assert check_preorder(k, rel).label_witness == min(mixed)
     assert check_definition(k, rel) == CheckVerdict(False, label_witness=min(mixed))
+
+
+def _relation_text(rel: set[tuple[int, int]], rng: random.Random) -> str:
+    """``rel`` as relation lines in random order, some twice, with a
+    comment line and a trailing comment."""
+    lines = [f"{u} {v}\n" for u, v in rel]
+    lines += rng.sample(lines, min(3, len(lines)))
+    rng.shuffle(lines)
+    lines[0] = lines[0].replace("\n", "  # first\n")
+    return "# relation\n" + "".join(lines)
+
+
+def _outcome(check, k: KripkeStructure, pairs):
+    """The verdict, or the message and witness of NotAPreorderError."""
+    try:
+        return check(k, pairs)
+    except NotAPreorderError as exc:
+        return str(exc), exc.witness
+
+
+@pytest.mark.parametrize("seed", range(60))
+def test_parsed_relation_checks_like_a_pair_set(seed):
+    """``check_preorder`` reads a parsed relation by its per-state rows
+    and a builtin set pair by pair: both give the same verdict with the
+    same witness, or the same NotAPreorderError, and the definitional
+    check agrees with them and with itself on both forms."""
+    rng = random.Random(seed)
+    n = 3 + seed % 9
+    k = generate_random_ks(24_000 + seed, n, (0.15, 0.3, 0.5)[seed % 3], 2 + seed % 2)
+    best = set(compute_preorder(k).state_pairs())
+    same = [(a, b) for a in range(n) for b in range(n) if k.labels[a] == k.labels[b]]
+    mixed = [(a, b) for a in range(n) for b in range(n) if k.labels[a] != k.labels[b]]
+    s, t, u = rng.sample(range(n), 3)
+    cases = [
+        ("accepted", best),
+        ("accepted", {(x, x) for x in range(n)}),
+        ("not reflexive", best - {(s, s)}),
+        ("not transitive", {(x, x) for x in range(n)} | {(s, t), (t, u)}),
+    ]
+    if mixed:
+        cases.append(("label", transitive_closure(best | {rng.choice(mixed)})))
+    missing = [p for p in same if p not in best]
+    if missing:
+        a, b = rng.choice(missing)
+        below = [x for x, y in best if y == a]
+        above = [y for x, y in best if x == b]
+        cases.append(("refiner", best | {(x, y) for x in below for y in above}))
+    for kind, rel in cases:
+        parsed = parse_relation(_relation_text(rel, rng), k)
+        assert parsed == rel
+        fast = _outcome(check_preorder, k, parsed)
+        assert fast == _outcome(check_preorder, k, set(rel)), kind
+        definition = check_definition(k, parsed)
+        assert definition == check_definition(k, set(rel)), kind
+        if kind == "not reflexive":
+            assert fast[1] == (s, s)
+        elif kind == "not transitive":
+            assert fast[1] == (s, u)
+        else:
+            assert fast.accepted == definition.accepted == (kind == "accepted")
+        if kind == "label":
+            assert fast.label_witness == definition.label_witness is not None
+        if kind == "refiner":
+            assert fast.refiner_witness is not None

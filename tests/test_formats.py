@@ -1,3 +1,4 @@
+import collections.abc
 import random
 import re
 
@@ -7,6 +8,7 @@ from stuttersim import (
     KripkeStructure,
     ParseError,
     ValidationError,
+    check_preorder,
     compute_preorder,
     generate_random_ks,
     labeling_partition,
@@ -280,6 +282,32 @@ def test_parse_relation(f2):
         parse_relation("0 7\n", f2)
     with pytest.raises(ParseError):
         parse_relation("0 1 2\n", f2)
+
+
+def test_parse_relation_is_a_read_only_set_view(f2):
+    pairs = parse_relation("3 0\n0 0\n3 0  # dup\n1 1\n# note\n0 0\n4 4\n", f2)
+    expected = {(0, 0), (1, 1), (3, 0), (4, 4)}
+    assert len(pairs) == len(expected)  # distinct pairs
+    assert list(pairs) == sorted(expected)
+    assert pairs == expected and expected == pairs and not pairs != expected
+    assert pairs != expected - {(4, 4)} and expected - {(4, 4)} != pairs
+    assert isinstance(pairs, collections.abc.Set) and not isinstance(pairs, set)
+    assert (3, 0) in pairs and (0, 3) not in pairs
+    outside = [(-1, 0), (0, -1), (0, 5), (5, 0), (0,), (0, 0, 0), "ab", (0.0, 0),
+               (0, 0.0), ([0], 0), (0, [0]), None]
+    assert not any(p in pairs for p in outside)
+    extra = {(2, 2)}
+    assert pairs | extra == expected | extra and type(pairs | extra) is set
+    assert pairs - {(0, 0)} == expected - {(0, 0)} and pairs <= expected
+    # A set of ints iterates by hash slot: {1, 32} gives 32 first.
+    wide = parse_relation("0 32\n0 1\n33 1\n", KripkeStructure(40, [], [[]] * 40))
+    assert list(wide) == [(0, 1), (0, 32), (33, 1)]
+    # Only a parsed relation is read by its rows: a result's pair view
+    # holds one row per block, and is read pair by pair.
+    result = compute_preorder(f2)
+    text = "".join(f"{x} {y}\n" for x, y in result.state_pairs())
+    verdict = check_preorder(f2, result.state_pairs())
+    assert verdict == check_preorder(f2, parse_relation(text, f2)) == (True, None, None, None)
 
 
 def test_generate_deterministic():

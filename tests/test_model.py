@@ -10,6 +10,7 @@ from stuttersim import (
     compute_preorder,
     generate_random_ks,
     labeling_partition,
+    parse_relation,
     quotient,
 )
 from stuttersim.model import validate_preorder
@@ -205,6 +206,25 @@ def test_validate_preorder_rejects_out_of_range_before_reflexivity():
     assert not isinstance(exc.value, NotAPreorderError)
     with pytest.raises(ValidationError):
         validate_preorder(2, [(-1, 0), (0, 0), (1, 1)])
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_validate_preorder_reads_parsed_rows(seed):
+    """A parsed relation, read by its rows, gives the classes, class
+    map and up-sets that its builtin set gives, read pair by pair."""
+    k = generate_random_ks(23_000 + seed, 1 + seed % 12, 0.2, 1 + seed % 3)
+    rel = random_preorder(random.Random(seed), k)
+    parsed = parse_relation("".join(f"{s} {t}\n" for s, t in rel), k)
+    assert validate_preorder(k.num_states, parsed) == validate_preorder(k.num_states, rel)
+
+
+def test_validate_preorder_reads_rows_of_another_size_pair_by_pair(f2):
+    """Rows parsed for a larger model are range-checked like any pairs."""
+    parsed = parse_relation("".join(f"{s} {s}\n" for s in range(5)), f2)
+    with pytest.raises(ValidationError) as exc:
+        validate_preorder(3, parsed)
+    assert not isinstance(exc.value, NotAPreorderError)
+    assert str(exc.value) == "relation pair (3, 3) out of range"
 
 
 @pytest.mark.parametrize("seed", range(20))
