@@ -42,7 +42,11 @@ def _sink_components(
 
     Every path inside the subgraph eventually stays in a sink component,
     so a set reaches a target through the subgraph iff every sink
-    component touches the target seeds.
+    component touches the target seeds.  The components come in the
+    order Tarjan's search finishes them, from roots taken in the order
+    of ``nodes``, and a rejection names the least member of the first
+    one that fails.  ``check_preorder`` passes ``sorted(mu[b])``; the
+    witness is pinned, so a rework must keep this order.
     """
     inside = [0] * len(successors)
     for v in nodes:
@@ -79,11 +83,12 @@ def check_preorder(
     one of its members or one of their successors lies in μ(C).  The
     relation must be reflexive and transitive (NotAPreorderError
     otherwise); a related pair with different labels is rejected
-    immediately.  ``pairs`` is read once, by ``_validate_relation``: the
-    ``RelationRows`` that ``parse_relation`` returns (a read-only
-    ``Set`` view, not a ``set``) by its per-state rows, any other
-    iterable pair by pair.  The label test then runs once per class, on
-    its up-set.
+    immediately.  ``pairs`` is read once, by ``_validate_relation``: a
+    ``StatePairs`` view (a read-only ``Set``, not a ``set``) by its
+    frozenset rows, whether ``parse_relation`` built it with one row per
+    state or ``SimulationResult.state_pairs`` with one per block; any
+    other iterable pair by pair.  The label test then runs once per
+    class, on its up-set.
     """
     blocks, block_of, mu = _validate_relation(k.num_states, pairs)
     labels = k.labels

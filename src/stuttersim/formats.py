@@ -17,7 +17,7 @@ import random
 import re
 from collections import defaultdict
 
-from .model import KripkeStructure, RelationRows, SimulationResult, ValidationError
+from .model import KripkeStructure, SimulationResult, StatePairs, ValidationError
 from .model import _Successors
 
 _ATOM_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\Z")
@@ -205,16 +205,18 @@ _PAIR_CHUNK = 1 << 16
 
 def _pair_chunks(result: SimulationResult):
     """The 'pair <x> <y>' line of every related state pair, in sorted
-    order, as texts of ``_PAIR_CHUNK`` characters or more each but the last.  The
-    sorted states above each block (``StatePairs.rows``) are formatted
-    once; state ``x`` writes the ones above its block, so no pair is
-    held as a tuple."""
-    tails = [list(map(str, ys)) for ys in result.state_pairs().rows]
+    order, as texts of ``_PAIR_CHUNK`` characters or more each but the last.  Each
+    row of ``result.state_pairs()``, the frozenset of the states above a
+    block, is sorted and formatted once, from one text per state; state
+    ``x`` writes its block's row, so no pair is held as a tuple."""
+    pairs = result.state_pairs()
+    names = list(map(str, range(len(pairs.row_of))))
+    tails = [list(map(names.__getitem__, sorted(ys))) for ys in pairs.rows]
     size = _PAIR_CHUNK
     out: list[str] = []
     length = 0
-    for x, i in enumerate(result.block_of):
-        head = f"pair {x} "
+    for x, i in enumerate(pairs.row_of):
+        head = f"pair {names[x]} "
         out.append(head + f"\n{head}".join(tails[i]) + "\n")
         length += len(out[-1])
         if length >= size:
@@ -225,17 +227,18 @@ def _pair_chunks(result: SimulationResult):
         yield "".join(out)
 
 
-def parse_relation(text: str, k: KripkeStructure) -> RelationRows:
+def parse_relation(text: str, k: KripkeStructure) -> StatePairs:
     """Parse 'u v' lines into a relation in one walk; duplicates are ignored.
 
     Returns a read-only ``collections.abc.Set`` of the pairs, not a
-    ``set``: a ``RelationRows`` holding each state's row of ``_pairs``
-    as a frozenset.  ``len`` counts distinct pairs, iteration is sorted,
-    and it equals the builtin set of the same pairs.
+    ``set``: a ``StatePairs`` with one row per state, that state's row
+    of ``_pairs`` as a frozenset, which ``check_preorder`` reads by rows
+    as it does a result's view.  ``len`` counts distinct pairs,
+    iteration is sorted, and it equals the builtin set of the same pairs.
     """
     lines = _lines(text)
     succ = _pairs(text, lines, 0, len(lines), k.num_states, "'<u> <v>'")
-    return RelationRows(list(map(frozenset, succ)))
+    return StatePairs(range(k.num_states), list(map(frozenset, succ)))
 
 
 def generate_random_ks(

@@ -153,12 +153,13 @@ def validate_preorder(
     and NotAPreorderError, with the lexicographically least witness,
     when the pairs are not reflexive and transitive.  Transitivity is
     checked once per class: the up-sets of the classes that ``up(c)``
-    meets must lie inside ``up(c)``.  A ``RelationRows`` on
-    ``range(size)``, as ``parse_relation`` returns, is read by its rows,
-    which are the up-sets; any other iterable is read pair by pair.
+    meets must lie inside ``up(c)``.  A ``StatePairs`` on
+    ``range(size)`` is read by its rows, which are the up-sets: a
+    result's view (one frozenset per block) as well as a parsed
+    relation (one per state).  Any other iterable is read pair by pair.
     """
-    if type(pairs) is RelationRows and len(pairs.rows) == size:
-        up: Sequence[Set[int]] = pairs.rows
+    if type(pairs) is StatePairs and len(pairs.row_of) == size:
+        up: Sequence[Set[int]] = [pairs.rows[i] for i in pairs.row_of]
     else:
         up = [set() for _ in range(size)]
         for s, t in pairs:
@@ -277,9 +278,12 @@ class SimulationResult:
 
     def state_pairs(self) -> StatePairs:
         """The full state-level preorder as a read-only ``Set`` view of
-        pairs that iterates in sorted order (see ``StatePairs``); call
-        ``set()`` on it for a builtin set."""
-        return StatePairs(self)
+        pairs that iterates in sorted order, one row per block (see
+        ``StatePairs``); call ``set()`` on it for a builtin set."""
+        rows: list[list[int]] = [[] for _ in self.blocks]
+        for i, j in self.preorder:
+            rows[i].extend(self.blocks[j])
+        return StatePairs(self.block_of, list(map(frozenset, rows)))
 
     def strict_block_pairs(self) -> list[tuple[int, int]]:
         """Non-reflexive preorder pairs in lexicographic order."""
@@ -287,81 +291,38 @@ class SimulationResult:
 
 
 class StatePairs(Set):
-    """The state pairs ``(x, y)`` of a result's preorder, as a read-only
-    set that iterates in sorted order without holding a tuple per pair.
-
-    ``rows[i]`` lists, sorted, the states above every state of block
-    ``i``; state ``x``'s pairs are ``(x, y)`` for ``y`` in
-    ``rows[block_of[x]]``.  It supports what ``collections.abc.Set``
+    """A relation on ``range(len(row_of))`` as a read-only set of pairs
+    held by rows: state ``x``'s pairs are ``(x, y)`` for ``y`` in the
+    frozenset ``rows[row_of[x]]``, so no pair is held as a tuple.  A
+    result's view has one row per block (``row_of`` is ``block_of``), a
+    parsed relation's one per state.  ``len`` counts the pairs and
+    iteration is sorted.  It supports what ``collections.abc.Set``
     gives: membership, ``len``, iteration, equality and the operators,
     which return builtin sets.  It has none of ``set``'s named methods
-    (``add``, ``copy``, ``union``, ``issubset``, ...) and is no
-    instance of ``set``.
+    (``add``, ``copy``, ``union``, ``issubset``, ...) and is no instance
+    of ``set``.  ``validate_preorder`` reads the rows of this exact type.
     """
 
-    __slots__ = ("block_of", "rows", "_preorder", "_len")
+    __slots__ = ("row_of", "rows")
 
-    def __init__(self, result: SimulationResult):
-        rows: list[list[int]] = [[] for _ in result.blocks]
-        for i, j in result.preorder:
-            rows[i].extend(result.blocks[j])
-        for ys in rows:
-            ys.sort()
-        self.block_of = result.block_of
-        self.rows = rows
-        self._preorder = result.preorder
-        self._len = sum(len(ms) * len(ys) for ms, ys in zip(result.blocks, rows))
-
-    def __contains__(self, pair: object) -> bool:
-        if not (isinstance(pair, tuple) and len(pair) == 2):
-            return False
-        x, y = pair
-        n = len(self.block_of)
-        if not (isinstance(x, int) and isinstance(y, int) and 0 <= x < n and 0 <= y < n):
-            return False
-        return (self.block_of[x], self.block_of[y]) in self._preorder
-
-    def __iter__(self) -> Iterator[tuple[int, int]]:
-        rows = self.rows
-        for x, i in enumerate(self.block_of):
-            for y in rows[i]:
-                yield x, y
-
-    def __len__(self) -> int:
-        return self._len
-
-    @classmethod
-    def _from_iterable(cls, it: Iterable[tuple[int, int]]) -> set[tuple[int, int]]:
-        return set(it)
-
-
-class RelationRows(Set):
-    """A relation on ``range(len(rows))`` as a read-only set of pairs
-    held by state: ``rows[x]`` is the frozenset of the states ``y`` with
-    ``(x, y)`` related, so no pair is held as a tuple.  ``len`` counts
-    the distinct pairs and iteration is sorted; like ``StatePairs`` it
-    has what ``collections.abc.Set`` gives and none of ``set``'s named
-    methods.  ``validate_preorder`` reads the rows of this exact type.
-    """
-
-    __slots__ = ("rows",)
-
-    def __init__(self, rows: list[frozenset[int]]):
+    def __init__(self, row_of: Sequence[int], rows: Sequence[frozenset[int]]):
+        self.row_of = row_of
         self.rows = rows
 
     def __contains__(self, pair: object) -> bool:
         if not (isinstance(pair, tuple) and len(pair) == 2):
             return False
         x, y = pair
-        if not (isinstance(x, int) and isinstance(y, int) and 0 <= x < len(self.rows)):
+        if not (isinstance(x, int) and isinstance(y, int) and 0 <= x < len(self.row_of)):
             return False
-        return y in self.rows[x]
+        return y in self.rows[self.row_of[x]]
 
     def __iter__(self) -> Iterator[tuple[int, int]]:
-        return ((x, y) for x, ys in enumerate(self.rows) for y in sorted(ys))
+        rows = list(map(sorted, self.rows))
+        return ((x, y) for x, i in enumerate(self.row_of) for y in rows[i])
 
     def __len__(self) -> int:
-        return sum(map(len, self.rows))
+        return sum(map(len, map(self.rows.__getitem__, self.row_of)))
 
     @classmethod
     def _from_iterable(cls, it: Iterable[tuple[int, int]]) -> set[tuple[int, int]]:

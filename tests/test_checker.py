@@ -13,6 +13,7 @@ from stuttersim import (
     parse_relation,
 )
 from stuttersim.checker import CheckVerdict, _sink_components, check_definition
+from stuttersim.model import StatePairs
 from stuttersim.reference import largest_simulation_within
 
 from conftest import random_graph, random_preorder, reachable, transitive_closure
@@ -305,3 +306,31 @@ def test_parsed_relation_checks_like_a_pair_set(seed):
             assert fast.label_witness == definition.label_witness is not None
         if kind == "refiner":
             assert fast.refiner_witness is not None
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_check_reads_both_views_by_rows(seed, monkeypatch):
+    """``check_preorder`` reads a result's view and a parsed relation by
+    their rows, never by iterating pairs, and gives the verdict of the
+    builtin set of the same pairs, accepting and rejecting.  The
+    labels-only model's result relates all same-label states; ``k``
+    rejects it unless its own largest simulation relates them all too."""
+    rng = random.Random(seed)
+    n = 6 + seed % 9
+    k = generate_random_ks(25_000 + seed, n, 1.5 / n, 2)
+    computed = compute_preorder(k).state_pairs()
+    coarse = compute_preorder(KripkeStructure(n, [], k.labels)).state_pairs()
+    best = set(computed)
+    missing = sorted(set(coarse) - best)
+    rels = [best]
+    if missing:
+        rels.append(transitive_closure(best | {rng.choice(missing)}))
+    views = [computed, coarse] + [parse_relation(_relation_text(r, rng), k) for r in rels]
+    expected = [check_preorder(k, set(view)) for view in views]
+    assert [v.accepted for v in expected] == [True, not missing, True, False][: len(views)]
+
+    def iterate(self):
+        raise AssertionError("StatePairs read pair by pair")
+
+    monkeypatch.setattr(StatePairs, "__iter__", iterate)
+    assert [check_preorder(k, view) for view in views] == expected

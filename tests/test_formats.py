@@ -302,8 +302,8 @@ def test_parse_relation_is_a_read_only_set_view(f2):
     # A set of ints iterates by hash slot: {1, 32} gives 32 first.
     wide = parse_relation("0 32\n0 1\n33 1\n", KripkeStructure(40, [], [[]] * 40))
     assert list(wide) == [(0, 1), (0, 32), (33, 1)]
-    # Only a parsed relation is read by its rows: a result's pair view
-    # holds one row per block, and is read pair by pair.
+    # A result's pair view (a row per block) and the relation parsed
+    # from its pairs (a row per state) are both read by rows.
     result = compute_preorder(f2)
     text = "".join(f"{x} {y}\n" for x, y in result.state_pairs())
     verdict = check_preorder(f2, result.state_pairs())

@@ -210,21 +210,31 @@ def test_validate_preorder_rejects_out_of_range_before_reflexivity():
 
 @pytest.mark.parametrize("seed", range(40))
 def test_validate_preorder_reads_parsed_rows(seed):
-    """A parsed relation, read by its rows, gives the classes, class
-    map and up-sets that its builtin set gives, read pair by pair."""
+    """A parsed relation (a row per state) and a result's view (a row
+    per block), read by their rows, give the classes, class map and
+    up-sets that their builtin sets give, read pair by pair."""
     k = generate_random_ks(23_000 + seed, 1 + seed % 12, 0.2, 1 + seed % 3)
     rel = random_preorder(random.Random(seed), k)
     parsed = parse_relation("".join(f"{s} {t}\n" for s, t in rel), k)
     assert validate_preorder(k.num_states, parsed) == validate_preorder(k.num_states, rel)
+    computed = compute_preorder(k).state_pairs()
+    assert type(parsed) is type(computed)
+    assert validate_preorder(k.num_states, computed) == validate_preorder(
+        k.num_states, set(computed)
+    )
 
 
 def test_validate_preorder_reads_rows_of_another_size_pair_by_pair(f2):
-    """Rows parsed for a larger model are range-checked like any pairs."""
+    """Rows parsed or computed for a larger model are range-checked
+    like any pairs."""
     parsed = parse_relation("".join(f"{s} {s}\n" for s in range(5)), f2)
     with pytest.raises(ValidationError) as exc:
         validate_preorder(3, parsed)
     assert not isinstance(exc.value, NotAPreorderError)
     assert str(exc.value) == "relation pair (3, 3) out of range"
+    computed = compute_preorder(KripkeStructure(5, [], [[]] * 5)).state_pairs()
+    with pytest.raises(ValidationError, match=r"^relation pair \(0, 3\) out of range$"):
+        validate_preorder(3, computed)
 
 
 @pytest.mark.parametrize("seed", range(20))
