@@ -48,20 +48,15 @@ def _sink_components(
     one that fails.  ``check_preorder`` passes ``sorted(mu[b])``; the
     witness is pinned, so a rework must keep this order.
     """
-    inside = [0] * len(successors)
+    inside = bytearray(len(successors))
     for v in nodes:
         inside[v] = 1
-    comps = strongly_connected_components(successors, inside, nodes)
-    comp_of = [0] * len(successors)
-    for i, comp in enumerate(comps):
-        for v in comp:
-            comp_of[v] = i
-    has_exit = [False] * len(comps)
-    for v in nodes:
-        for w in successors[v]:
-            if inside[w] and comp_of[v] != comp_of[w]:
-                has_exit[comp_of[v]] = True
-    return [comp for comp, exits in zip(comps, has_exit) if not exits]
+    sinks = []
+    for comp in strongly_connected_components(successors, inside, nodes):
+        own = set(comp)
+        if not any(inside[w] and w not in own for v in comp for w in successors[v]):
+            sinks.append(comp)
+    return sinks
 
 
 def _least_mixed_pair(

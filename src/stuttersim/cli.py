@@ -13,7 +13,7 @@ import sys
 from .formats import (
     ParseError,
     _block_lines,
-    _pair_chunks,
+    _pair_lines,
     generate_random_ks,
     parse_ks,
     parse_relation,
@@ -127,21 +127,17 @@ def _cmd_compute(args: argparse.Namespace) -> int:
         if result.state_pairs() != naive_stuttering_simulation(k):
             print("oracle cross-check failed", file=sys.stderr)
             return 1
-    out: list[str] = []
+    write = sys.stdout.write
     if args.emit == "partition":
-        out.extend(line + "\n" for line in _block_lines(result.blocks))
+        write("".join(line + "\n" for line in _block_lines(result.blocks)))
     elif args.emit in ("preorder", "all"):
-        out.append(serialize_result(result))
-        # The pair lines go out chunk by chunk, the first with the head.
-        for chunk in _pair_chunks(result) if args.full else ():
-            out.append(chunk)
-            sys.stdout.write("".join(out))
-            out.clear()
+        write(serialize_result(result))
+        for text in _pair_lines(result) if args.full else ():
+            write(text)
     if args.emit in ("quotient", "all"):
         if args.emit == "all":
-            out.append("# quotient\n")
-        out.append(serialize_ks(quotient(k, result.blocks, result.block_of)))
-    sys.stdout.write("".join(out))
+            write("# quotient\n")
+        write(serialize_ks(quotient(k, result.blocks, result.block_of)))
     return 0
 
 

@@ -201,7 +201,6 @@ class RefinementEngine:
         self.marked = sorted((self.blocks[c].begin, c) for c in self.pending)
 
         self.iterations = 0
-        self.blocks_created = 0
         self.targets_visited = 0
         self.pairs_tested = 0
         self.states_scanned = 0
@@ -433,9 +432,7 @@ class RefinementEngine:
         local bottoms.  Each new block starts with its parent's
         up-set and joins every up-set holding the parent, so every
         state's candidate set is unchanged."""
-        pairs = self.split(s_list)
-        self.update(pairs)
-        self.blocks_created += 2 * len(pairs)
+        self.update(self.split(s_list))
 
     def update(self, pairs: Sequence[tuple[int, int]]) -> None:
         """Repair the pending sets and the local bottoms of both parts of
@@ -536,7 +533,7 @@ class RefinementEngine:
         preorder = {(rank[b], rank[c]) for b in range(len(self.up)) for c in self.up[b]}
         stats = RunStats(
             iterations=self.iterations,
-            blocks_created=self.blocks_created,
+            blocks_created=2 * (len(self.blocks) - self.initial_blocks),
             initial_blocks=self.initial_blocks,
             final_blocks=len(self.blocks),
             targets_visited=self.targets_visited,

@@ -189,7 +189,7 @@ def serialize_result(result: SimulationResult) -> str:
     """Canonical result text: block lines, then strict 'leq' lines.
 
     Reflexive and within-block pairs are suppressed (reconstructible);
-    ``_pair_chunks`` gives every related state pair as 'pair <x> <y>'
+    ``_pair_lines`` gives every related state pair as 'pair <x> <y>'
     lines, which ``compute --full`` writes after this text.
     """
     lines = _block_lines(result.blocks)
@@ -198,33 +198,18 @@ def serialize_result(result: SimulationResult) -> str:
     return "\n".join(lines) + "\n"
 
 
-# Characters per text of ``_pair_chunks``: a few writes for the sparse
-# model's pairs, and a bound on what ``compute --full`` holds at once.
-_PAIR_CHUNK = 1 << 16
-
-
-def _pair_chunks(result: SimulationResult):
-    """The 'pair <x> <y>' line of every related state pair, in sorted
-    order, as texts of ``_PAIR_CHUNK`` characters or more each but the last.  Each
-    row of ``result.state_pairs()``, the frozenset of the states above a
-    block, is sorted and formatted once, from one text per state; state
-    ``x`` writes its block's row, so no pair is held as a tuple."""
+def _pair_lines(result: SimulationResult):
+    """The 'pair <x> <y>' lines of every related state pair, in sorted
+    order, one text per state.  Each row of ``result.state_pairs()``,
+    the frozenset of the states above a block, is sorted and formatted
+    once; state ``x`` writes its block's row, so no pair is held as a
+    tuple."""
     pairs = result.state_pairs()
     names = list(map(str, range(len(pairs.row_of))))
     tails = [list(map(names.__getitem__, sorted(ys))) for ys in pairs.rows]
-    size = _PAIR_CHUNK
-    out: list[str] = []
-    length = 0
     for x, i in enumerate(pairs.row_of):
         head = f"pair {names[x]} "
-        out.append(head + f"\n{head}".join(tails[i]) + "\n")
-        length += len(out[-1])
-        if length >= size:
-            yield "".join(out)
-            out.clear()
-            length = 0
-    if out:
-        yield "".join(out)
+        yield head + f"\n{head}".join(tails[i]) + "\n"
 
 
 def parse_relation(text: str, k: KripkeStructure) -> StatePairs:

@@ -112,7 +112,7 @@ def labeling_partition(k: KripkeStructure) -> list[list[int]]:
     classes: dict[frozenset[str], list[int]] = {}
     for s in k.states():
         classes.setdefault(k.labels[s], []).append(s)
-    return sorted(classes.values(), key=lambda c: c[0])
+    return list(classes.values())
 
 
 def validate_partition(

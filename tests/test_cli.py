@@ -14,8 +14,10 @@ from stuttersim import (
     parse_ks,
     quotient,
     serialize_ks,
+    serialize_result,
 )
 from stuttersim.cli import cli_main
+from stuttersim.formats import _pair_lines
 
 from conftest import child_env, stutter_chain
 
@@ -124,6 +126,46 @@ def test_compute_full_flag(f2_file, capsys):
     assert cli_main(["compute", f2_file, "--full"]) == 0
     out = capsys.readouterr().out
     assert "pair 3 0" in out and "pair 4 1" in out
+
+
+# A p-cycle {0, 1} that collapses, a p-state 2 stuttering-equivalent
+# to it, and a q-sink: fewer blocks than states.
+CYCLE_TEXT = """\
+states 4
+label 0 p
+label 1 p
+label 2 p
+label 3 q
+transitions 4
+0 1
+1 0
+1 2
+2 3
+"""
+
+
+@pytest.mark.parametrize("full", [False, True])
+@pytest.mark.parametrize("emit", ["partition", "preorder", "quotient", "all"])
+@pytest.mark.parametrize("text", [F2_TEXT, CYCLE_TEXT], ids=["f2", "cycle"])
+def test_compute_stdout_layout(text, emit, full, tmp_path, capsys):
+    """``compute`` writes the library's texts in this order and nothing
+    else; ``--full`` adds the pair lines to ``preorder`` and ``all`` only."""
+    path = tmp_path / "model.ks"
+    path.write_text(text)
+    k = parse_ks(text)
+    result = compute_preorder(k)
+    pairs = "".join(_pair_lines(result)) if full else ""
+    expected = {
+        "partition": "".join(
+            f"block {i}: " + " ".join(map(str, ms)) + "\n"
+            for i, ms in enumerate(result.blocks)
+        ),
+        "preorder": serialize_result(result) + pairs,
+        "quotient": serialize_ks(quotient(k, result.blocks)),
+    }
+    expected["all"] = expected["preorder"] + "# quotient\n" + expected["quotient"]
+    assert cli_main(["compute", str(path), "--emit", emit] + ["--full"] * full) == 0
+    assert capsys.readouterr().out == expected[emit]
 
 
 def test_compute_oracle_agrees(f1_file):

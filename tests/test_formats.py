@@ -18,7 +18,7 @@ from stuttersim import (
     serialize_result,
 )
 from stuttersim import formats
-from stuttersim.formats import _pair_chunks
+from stuttersim.formats import _pair_lines
 
 from conftest import random_preorder
 
@@ -228,7 +228,7 @@ def test_serialize_result_f2(f2):
 
 def test_serialize_result_full_pairs(f2):
     result = compute_preorder(f2)
-    text = serialize_result(result) + "".join(_pair_chunks(result))
+    text = serialize_result(result) + "".join(_pair_lines(result))
     assert "pair 3 0\n" in text and "pair 1 4\n" in text and "pair 0 0\n" in text
     assert "pair 0 3" not in text
 
@@ -251,7 +251,7 @@ def _sorted_pair_text(result) -> str:
 
 
 @pytest.mark.parametrize("seed", range(60))
-def test_full_pairs_match_the_sorted_state_pairs(seed, monkeypatch):
+def test_full_pairs_match_the_sorted_state_pairs(seed):
     # Dense one-label models collapse cycles; every third seed starts
     # from a random candidate preorder instead of the label classes.
     rng = random.Random(seed)
@@ -264,13 +264,9 @@ def test_full_pairs_match_the_sorted_state_pairs(seed, monkeypatch):
             result = compute_preorder(k, ([[s] for s in range(n)], rel))
         except ValidationError:
             pass  # candidate block order incompatible with the topology
-    text = _sorted_pair_text(result)
-    assert serialize_result(result) + "".join(_pair_chunks(result)) == text
-    size = rng.randrange(1, 40)
-    monkeypatch.setattr(formats, "_PAIR_CHUNK", size)
-    chunks = list(_pair_chunks(result))
-    assert serialize_result(result) + "".join(chunks) == text
-    assert all(len(chunk) >= size for chunk in chunks[:-1])
+    texts = list(_pair_lines(result))
+    assert serialize_result(result) + "".join(texts) == _sorted_pair_text(result)
+    assert len(texts) == n
 
 
 def test_parse_relation(f2):

@@ -95,8 +95,8 @@ class _Sink:
 
 def test_full_output_streams_in_bounded_memory(tmp_path):
     """``compute --full`` on a 10³-state chain writes ~10⁶ pair lines;
-    they go out chunk by chunk, so the traced peak stays far below the
-    output."""
+    they go out one state at a time, so the traced peak stays far below
+    the output."""
     path = tmp_path / "chain.ks"
     path.write_text(serialize_ks(stutter_chain(1000)))
     sink = _Sink()
