@@ -46,8 +46,11 @@ def _sink_components(
     order Tarjan's search finishes them, from roots taken in the order
     of ``nodes``, and a rejection names the least member of the first
     one that fails.  ``check_preorder`` passes ``sorted(mu[b])``; the
-    witness is pinned, so a rework must keep this order.
+    witness is pinned, so a rework must keep this order.  A one-state
+    set is its own sink component, found without the n-sized tables.
     """
+    if len(nodes) == 1:
+        return [list(nodes)]
     inside = bytearray(len(successors))
     for v in nodes:
         inside[v] = 1

@@ -27,7 +27,6 @@ from .model import (
 )
 from .preprocess import (
     collapse_inert_sccs,
-    is_locally_topological,
     sort_states_locally_topological,
     strongly_connected_components,
     topological_order,
@@ -181,9 +180,8 @@ class RefinementEngine:
             blk = self.blocks[b]
             blk.begin, blk.end = begin, begin + len(coll_members[b])
             begin = blk.end
-        # Defensive: the combined block order makes this impossible.
-        if not is_locally_topological(self.k, self.state_list):
-            raise AssertionError("a backward same-label transition survived ordering")
+        # The combined block order leaves no backward same-label
+        # transition; debug mode asserts so before the first iteration.
 
         # up[b]: the blocks related above b, b included; down[c]: below c.
         self.up: list[set[int]] = up0
@@ -296,8 +294,8 @@ class RefinementEngine:
         sublist of the state list.  A state joins the result when the
         tables seed it, as in ``image(c)`` (block above ``c``) or
         stepping into it (a key of ``count[c]``), or when it is a
-        predecessor of a state that joined; a joining state adds its
-        predecessors to the found set.  A same-label predecessor lies
+        predecessor of a state that joined; a joining state marks its
+        predecessors as found.  A same-label predecessor lies
         earlier in the state list, so the scan reaches it after the
         state it precedes; one outside ``s_list`` is never scanned.  The
         result, collected backward, is reversed at the end.
@@ -305,12 +303,15 @@ class RefinementEngine:
         pred, bo = self.k.predecessors, self.block_of
         col, above = self.count[c], self.up[c]
         self.states_scanned += len(s_list)
-        found: set[int] = set()
+        # One byte per state: a set of the found states costs a hash
+        # entry each and, on a long chain, sets the run's peak memory.
+        found = bytearray(len(bo))
         result: list[int] = []
         for y in reversed(s_list):
-            if y in found or y in col or bo[y] in above:
+            if found[y] or y in col or bo[y] in above:
                 result.append(y)
-                found.update(pred[y])
+                for x in pred[y]:
+                    found[x] = 1
         result.reverse()
         if self.checks:
             self.checks.pos_ordered(s_list, c, result)
@@ -528,7 +529,13 @@ class RefinementEngine:
         rank: dict[int, int] = {}
         block_of = [rank.setdefault(b, len(rank)) for b in bo]
         blocks: list[list[int]] = [[] for _ in rank]
-        for s, i in enumerate(block_of):
+        # When nothing collapsed the states are the state list's own
+        # ints, sorted: the classes share them instead of enumerate
+        # making a second int per state.
+        states = enumerate(block_of)
+        if isinstance(self.collapse.of, range):
+            states = zip(sorted(self.state_list), block_of)
+        for s, i in states:
             blocks[i].append(s)
         preorder = {(rank[b], rank[c]) for b in range(len(self.up)) for c in self.up[b]}
         stats = RunStats(

@@ -181,8 +181,10 @@ def serialize_ks(k: KripkeStructure) -> str:
 
 
 def _block_lines(blocks: list[list[int]]) -> list[str]:
-    """The 'block <i>: <members>' line of each block, in list order."""
-    return [f"block {i}: " + " ".join(map(str, ms)) for i, ms in enumerate(blocks)]
+    """The 'block <i>: <members>' line of each block, in list order.  A
+    list's repr, commas dropped, is the members' text in one string;
+    joining them would first make a string per member."""
+    return [f"block {i}: " + str(ms)[1:-1].replace(",", "") for i, ms in enumerate(blocks)]
 
 
 def serialize_result(result: SimulationResult) -> str:

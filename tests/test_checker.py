@@ -132,11 +132,23 @@ def test_rejects_cycle_trapped_candidate():
     assert not definition_accepts(k, rel)
 
 
-@pytest.mark.parametrize("seed", range(40))
+# One-state node sets, which skip the Tarjan run: (successors, nodes).
+ONE_STATE_SETS = {
+    "isolated": ([[], []], [1]),
+    "self-loop": ([[0], [1]], [1]),
+    "edge-leaving": ([[], [0]], [1]),
+}
+
+
+@pytest.mark.parametrize("seed", [*range(40), *ONE_STATE_SETS])
 def test_sink_components_are_closed_sccs(seed):
-    rng = random.Random(seed)
-    n, successors, _ = random_graph(rng)
-    nodes = sorted(rng.sample(range(n), rng.randrange(1, n + 1)))
+    if seed in ONE_STATE_SETS:
+        successors, nodes = ONE_STATE_SETS[seed]
+        n = len(successors)
+    else:
+        rng = random.Random(seed)
+        n, successors, _ = random_graph(rng)
+        nodes = sorted(rng.sample(range(n), rng.randrange(1, n + 1)))
     inside = [int(v in nodes) for v in range(n)]
     reach = {v: reachable(successors, inside, v) for v in nodes}
     # a sink component is an SCC that nothing inside leads out of

@@ -798,6 +798,31 @@ def test_run_stats_bounds(seed):
     assert stats.initial_blocks == len(labeling_partition(k))
 
 
+# The run's exact work, targets visited plus pairs tested plus states
+# scanned plus in-edges counted, over final blocks times edges.  Each
+# bound is the ratio measured when it was set (0.129, 0.080, 0.752,
+# 0.183) plus a tenth, rounded up to the next hundredth: a change that
+# adds a pass over each iteration's image or a recount breaks it.  A
+# later change may tighten a bound but not loosen it.
+WORK_BOUNDS = {
+    "random-300": (lambda: generate_random_ks(7, 300, 2 / 300, 4), 0.15),
+    "random-1500": (lambda: generate_random_ks(7, 1500, 2 / 1500, 4), 0.09),
+    "stutter-chain-1000": (lambda: stutter_chain(1000), 0.83),
+    "peel-60": (lambda: peel(60), 0.21),
+}
+
+
+@pytest.mark.parametrize("model", sorted(WORK_BOUNDS))
+def test_work_per_block_and_edge_under_recorded_bound(model):
+    build, bound = WORK_BOUNDS[model]
+    engine = RefinementEngine(build())
+    stats = engine.run().stats
+    work = stats.targets_visited + stats.pairs_tested + stats.states_scanned
+    work += stats.edges_counted
+    edges = sum(map(len, engine.k.successors))
+    assert work / (stats.final_blocks * edges) <= bound, (work, stats.final_blocks, edges)
+
+
 # -- candidate relations --------------------------------------------------
 
 
@@ -843,7 +868,9 @@ def test_candidate_run_random(seed):
     rel = random_preorder(rng, k)
     classes, pairs = _candidate_classes(k, rel)
     try:
-        result = compute_preorder(k, (classes, pairs))
+        # Debug mode asserts that the candidate's block order leaves the
+        # state list locally topological; init does not check it.
+        result = compute_preorder(k, (classes, pairs), debug=True)
     except ValidationError:
         return  # candidate block order incompatible with the topology
     assert result.state_pairs() == largest_simulation_within(k, rel)
